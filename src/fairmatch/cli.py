@@ -12,13 +12,14 @@ import json
 import sys
 from fractions import Fraction
 
-from .flows import FlowError, decompose_max_flow, max_flow
+from .flows import FlowError, max_flow
 from .instance import Instance, InstanceError, UtilityProfile, format_rational, load_instance
 from .matching import ged_decompose, max_bmatching
 from .mechanism import (
     MechanismError,
     build_divisible,
     egalitarian_divisible,
+    egalitarian_flow,
     egalitarian_lp,
     indivisible_outcome,
     sample_lottery,
@@ -93,12 +94,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         lines = _profile_lines("egalitarian profile (divisible)", profile)
         if args.dump_flow:
-            construction = build_divisible(inst)
-            pinned = {arc: profile[agent] for agent, arc in construction.supply_arcs.items()}
-            pinned.update(
-                {("b/" + node, construction.network.sink): profile[node] for node in inst.nodes}
-            )
-            payload["flow"] = max_flow(construction.network.with_caps(pinned)).to_json()
+            payload["flow"] = egalitarian_flow(build_divisible(inst), profile).to_json()
     else:
         outcome = indivisible_outcome(inst)
         payload = {
@@ -108,13 +104,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         lines = _profile_lines("egalitarian expected profile (indivisible)", outcome.profile)
         if args.dump_flow:
-            pinned = {
-                arc: outcome.profile[agent]
-                for agent, arc in outcome.construction.supply_arcs.items()
-            }
-            payload["flow"] = max_flow(
-                outcome.construction.network.with_caps(pinned)
-            ).to_json()
+            payload["flow"] = outcome.lottery.flow.to_json()
     _emit(payload, lines, args)
     return EXIT_OK
 
@@ -166,7 +156,8 @@ def _verify_checks(inst: Instance, with_oracle: bool) -> list[dict]:
 
     if inst.is_uncapacitated:
         outcome = indivisible_outcome(inst)
-        flow_value = max_flow(outcome.construction.network).value
+        lottery = outcome.lottery
+        flow_value = lottery.flow.value
         matched = max_bmatching(inst).total_utility
         record(
             "indivisible-efficiency",
@@ -175,28 +166,19 @@ def _verify_checks(inst: Instance, with_oracle: bool) -> list[dict]:
         )
         lp = egalitarian_lp(outcome.construction)
         record("method-agreement", lp.values == outcome.profile.values)
-        record(
-            "lottery-expectation",
-            outcome.lottery.expected.values == outcome.profile.values,
-        )
+        record("lottery-expectation", lottery.expected.values == outcome.profile.values)
         record(
             "lottery-members-maximum",
-            all(m.total_utility == matched for m, _ in outcome.lottery.entries),
+            all(m.total_utility == matched for m, _ in lottery.entries),
         )
-        pinned = {
-            arc: outcome.profile[agent]
-            for agent, arc in outcome.construction.supply_arcs.items()
-        }
-        egal_flow = max_flow(outcome.construction.network.with_caps(pinned))
-        combo = decompose_max_flow(outcome.construction.network, egal_flow)
-        recombined = combo.combined_values()
+        recombined = lottery.combination.combined_values()
         record(
             "flow-decomposition-exact",
             all(
-                recombined.get(arc, Fraction(0)) == egal_flow.values.get(arc, Fraction(0))
+                recombined.get(arc, Fraction(0)) == lottery.flow.values.get(arc, Fraction(0))
                 for arc in outcome.construction.network.arcs
             ),
-            f"{len(combo.entries)} integral members",
+            f"{len(lottery.combination.entries)} integral members",
         )
         expectation = {
             agent: sum(

@@ -41,13 +41,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"bad rational {text!r}: {exc}") from None
-
-
 @dataclass(frozen=True)
 class Instance:
     """An exchange network.
@@ -118,9 +111,6 @@ class Instance:
     def is_uncapacitated(self) -> bool:
         return not self.capacities
 
-    def peak(self, node: str) -> int:
-        return self.peaks[node]
-
     def capacity(self, u: str, v: str) -> int | None:
         return self.capacities.get(canonical_edge(u, v))
 
@@ -185,6 +175,8 @@ def parse_instance(text: str) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InstanceError("JSON nesting is too deep") from None
     if not isinstance(data, dict):
         raise InstanceError("instance file must be a JSON object")
     name = data.get("name", "")
@@ -222,7 +214,11 @@ def parse_instance(text: str) -> Instance:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"not a UTF-8 file: {exc.reason} at byte {exc.start}") from None
+    return parse_instance(text)
 
 
 @dataclass(frozen=True)
@@ -280,14 +276,6 @@ class BMatching:
         for edge, mult in self.multiplicities.items():
             if not isinstance(mult, int) or mult < 0:
                 raise InstanceError(f"edge {edge!r}: multiplicity must be a nonnegative integer")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, str, int]]) -> "BMatching":
-        mults: dict[Edge, int] = {}
-        for u, v, mult in pairs:
-            edge = canonical_edge(u, v)
-            mults[edge] = mults.get(edge, 0) + mult
-        return cls({edge: mult for edge, mult in mults.items() if mult})
 
     def multiplicity(self, u: str, v: str) -> int:
         return self.multiplicities.get(canonical_edge(u, v), 0)

@@ -173,12 +173,6 @@ class GedDecomposition:
     odd_components: tuple[tuple[str, ...], ...]
     internal_caps: tuple[int | None, ...]
 
-    def component_of(self, node: str) -> int:
-        for k, component in enumerate(self.odd_components):
-            if node in component:
-                return k
-        raise MatchingError(f"{node!r} is not under-demanded")
-
     def to_json_dict(self) -> dict:
         return {
             "under": sorted(self.under),

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping
 
 from .flows import (
     Arc,
+    ConvexCombination,
     Flow,
     FlowNetwork,
     decompose_max_flow,
@@ -32,6 +33,10 @@ class MechanismError(RuntimeError):
 
 def _a(node: str) -> str:
     return "a/" + node
+
+
+def _b(node: str) -> str:
+    return "b/" + node
 
 
 def _mirror(node: str) -> str:
@@ -63,9 +68,6 @@ class BipartiteConstruction:
     provenance: dict[Arc, tuple]
     ged: GedDecomposition | None = None
 
-    def a_node(self, agent: str) -> str:
-        return self.supply_arcs[agent][1]
-
 
 def build_divisible(inst: Instance) -> BipartiteConstruction:
     """Doubled bipartite network: two mirrored agent sides, cross arcs per edge."""
@@ -74,13 +76,13 @@ def build_divisible(inst: Instance) -> BipartiteConstruction:
     for node, peak in inst.peaks.items():
         arcs[(SOURCE, _a(node))] = Fraction(peak)
         provenance[(SOURCE, _a(node))] = ("supply", node)
-        arcs[("b/" + node, SINK)] = Fraction(peak)
-        provenance[("b/" + node, SINK)] = ("demand", node)
+        arcs[(_b(node), SINK)] = Fraction(peak)
+        provenance[(_b(node), SINK)] = ("demand", node)
     for u, v in inst.edges:
         cap = inst.capacities.get((u, v))
         fraction_cap = None if cap is None else Fraction(cap)
         for tail, head in ((u, v), (v, u)):
-            arc = (_a(tail), "b/" + head)
+            arc = (_a(tail), _b(head))
             arcs[arc] = fraction_cap
             provenance[arc] = ("edge", (u, v))
     return BipartiteConstruction(
@@ -254,9 +256,14 @@ def _water_fill(
     supply_arcs: Mapping[str, Arc],
     peaks: Mapping[str, int],
     trace: list[Breakpoint] | None = None,
-) -> tuple[dict[str, Fraction], Flow]:
+) -> dict[str, Fraction]:
     """Parametric egalitarian rule on the supply side: raise a common cap, freeze
-    the maximal bottleneck group at each breakpoint, recurse on the rest."""
+    the maximal bottleneck group at each breakpoint, recurse on the rest.
+
+    Each breakpoint search starts at the previous breakpoint: the caps there are
+    the ones the previous search certified, and shippability is monotone in the
+    common cap, so no lower cap needs probing again.
+    """
     agents = sorted(supply_arcs)
     frozen: dict[str, Fraction] = {}
     active = list(agents)
@@ -265,9 +272,9 @@ def _water_fill(
         const_caps: dict[Arc, Fraction] = {
             supply_arcs[agent]: frozen[agent] for agent in frozen
         }
-        boundaries = sorted({peaks[agent] for agent in active})
+        boundaries = sorted({peaks[agent] for agent in active if peaks[agent] > previous_break})
         found = None
-        lo = Fraction(0)
+        lo = previous_break
         for boundary in boundaries:
             hi = Fraction(boundary)
             segment_const = dict(const_caps)
@@ -277,7 +284,7 @@ def _water_fill(
                     segment_const[supply_arcs[agent]] = Fraction(peaks[agent])
                 else:
                     linear.add(supply_arcs[agent])
-            deficit, _, _ = _full_shipping_deficit(net, segment_const, frozenset(linear), hi)
+            deficit, flow, capped = _full_shipping_deficit(net, segment_const, frozenset(linear), hi)
             if deficit > 0:
                 found = _sup_full_shipping(
                     net, segment_const, frozenset(linear), lo, hi
@@ -323,19 +330,20 @@ def _water_fill(
             frozen[agent] = min(lam, Fraction(peaks[agent]))
         active = [agent for agent in active if agent not in newly]
 
-    final_caps = {supply_arcs[agent]: frozen[agent] for agent in agents}
-    final_flow = max_flow(net.with_caps(final_caps))
-    if final_flow.value != sum(frozen.values(), Fraction(0)):
+    # ``capped`` and ``flow`` are the last probe's, and it solved the frozen caps.
+    if agents and (
+        flow.value != sum(frozen.values(), Fraction(0))
+        or any(capped.arcs[supply_arcs[agent]] != frozen[agent] for agent in agents)
+    ):
         raise MechanismError("frozen egalitarian profile is not fully shippable")
-    return frozen, final_flow
+    return frozen
 
 
 def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     """Water-filling egalitarian profile for the A-side agents of a construction."""
-    values, _ = _water_fill(
-        construction.network, construction.supply_arcs, construction.peaks
+    return UtilityProfile(
+        _water_fill(construction.network, construction.supply_arcs, construction.peaks)
     )
-    return UtilityProfile(values)
 
 
 def water_filling_breakpoints(construction: BipartiteConstruction) -> tuple[Breakpoint, ...]:
@@ -382,22 +390,30 @@ def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:
     return UtilityProfile(frozen)
 
 
+def egalitarian_flow(construction: BipartiteConstruction, profile: UtilityProfile) -> Flow:
+    """A maximum flow of the construction that ships exactly ``profile``: every
+    supply arc is pinned to its agent's value, and in the divisible construction
+    every demand arc too, so both margins of the doubled network equal the
+    profile."""
+    pinned = {arc: profile[agent] for agent, arc in construction.supply_arcs.items()}
+    if construction.kind == "divisible":
+        pinned.update({(_b(agent), SINK): profile[agent] for agent in construction.agents})
+    flow = max_flow(construction.network.with_caps(pinned))
+    if flow.value != profile.total:
+        raise MechanismError(f"profile is not realizable by a {construction.kind} maximum flow")
+    return flow
+
+
 def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[str, str], Fraction]]:
     """Egalitarian profile for divisible goods plus a symmetric edge exchange
     realizing it: f_ij = (g(a_i, b_j) + g(a_j, b_i)) / 2 with both flow margins
     pinned to the profile."""
     construction = build_divisible(inst)
     profile = egalitarian_profile(construction)
-    pinned: dict[Arc, Fraction] = {}
-    for node in inst.nodes:
-        pinned[(SOURCE, _a(node))] = profile[node]
-        pinned[("b/" + node, SINK)] = profile[node]
-    flow = max_flow(construction.network.with_caps(pinned))
-    if flow.value != profile.total:
-        raise MechanismError("egalitarian profile is not realizable with symmetric margins")
+    flow = egalitarian_flow(construction, profile)
     exchange: dict[tuple[str, str], Fraction] = {}
     for u, v in inst.edges:
-        amount = (flow.on(_a(u), "b/" + v) + flow.on(_a(v), "b/" + u)) / 2
+        amount = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
         exchange[(u, v)] = amount
     for node in inst.nodes:
         induced = sum(
@@ -425,10 +441,17 @@ def probabilistic_marginals(profile: UtilityProfile) -> dict[str, dict[int, Frac
 
 @dataclass(frozen=True)
 class Lottery:
-    """Probability distribution over maximum b-matchings with an exact expected profile."""
+    """Probability distribution over maximum b-matchings with an exact expected profile.
+
+    ``flow`` is the egalitarian maximum flow the lottery realizes and
+    ``combination`` its decomposition into integral maximum flows, one member
+    per entry, in order.
+    """
 
     entries: tuple[tuple[BMatching, Fraction], ...]
     expected: UtilityProfile
+    flow: Flow
+    combination: ConvexCombination
 
     def __post_init__(self) -> None:
         if any(p <= 0 for _, p in self.entries):
@@ -506,10 +529,7 @@ def build_lottery(
     full_value = max_flow(construction.network).value
     if profile.total != full_value:
         raise MechanismError("profile total does not match the maximum flow value")
-    pinned = {arc: profile[agent] for agent, arc in construction.supply_arcs.items()}
-    flow = max_flow(construction.network.with_caps(pinned))
-    if flow.value != profile.total:
-        raise MechanismError("profile is not realizable by a maximum flow")
+    flow = egalitarian_flow(construction, profile)
     combination = decompose_max_flow(construction.network, flow)
 
     perfect_part: BMatching | None = None
@@ -535,7 +555,9 @@ def build_lottery(
     for agent in expected:
         if expected[agent] != profile[agent]:
             raise MechanismError(f"lottery expectation misses the profile at {agent!r}")
-    return Lottery(entries=tuple(entries), expected=profile)
+    return Lottery(
+        entries=tuple(entries), expected=profile, flow=flow, combination=combination
+    )
 
 
 def sample_lottery(lottery: Lottery, seed: int) -> BMatching:
@@ -601,12 +623,12 @@ def bipartite_egalitarian(
         cap = inst.capacities.get((u, v))
         arcs[("s/" + supplier, "d/" + demander)] = None if cap is None else Fraction(cap)
     net = FlowNetwork(SOURCE, SINK, arcs)
-    supplier_values, _ = _water_fill(
+    supplier_values = _water_fill(
         net,
         {node: (SOURCE, "s/" + node) for node in supply_side},
         {node: inst.peaks[node] for node in supply_side},
     )
-    demander_values, _ = _water_fill(
+    demander_values = _water_fill(
         net.reversed(),
         {node: (SINK, "d/" + node) for node in demand_side},
         {node: inst.peaks[node] for node in demand_side},

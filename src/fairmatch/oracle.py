@@ -181,9 +181,6 @@ class Deviation:
                     f"added edge ({u!r}, {v!r}) needs both endpoints in the coalition"
                 )
 
-    def is_empty(self) -> bool:
-        return not (self.peaks or self.hide_edges or self.add_edges)
-
 
 def apply_deviation(inst: Instance, deviation: Deviation) -> Instance:
     return inst.replace(

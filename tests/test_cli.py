@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,22 @@ def test_solve_dump_flow(capsys, triangle_file):
     assert status == 0
     payload = json.loads(out)
     assert any(arc["from"] == "@source" for arc in payload["flow"])
+
+
+def test_solve_divisible_dump_flow_pins_both_margins(capsys, hub15_file):
+    status, out = run_cli_capture(
+        capsys, "solve", "--model", "divisible", "--dump-flow", hub15_file
+    )
+    assert status == 0
+    payload = json.loads(out)
+    flow = {(arc["from"], arc["to"]): Fraction(arc["amount"]) for arc in payload["flow"]}
+    for node, value in payload["profile"].items():
+        assert flow.get(("@source", "a/" + node), 0) == Fraction(value)
+        assert flow.get(("b/" + node, "@sink"), 0) == Fraction(value)
+    for entry in payload["exchange"]:
+        u, v = entry["u"], entry["v"]
+        cross = flow.get(("a/" + u, "b/" + v), 0) + flow.get(("a/" + v, "b/" + u), 0)
+        assert Fraction(entry["amount"]) == cross / 2
 
 
 def test_lottery_triangle_three_thirds(capsys, triangle_file):
@@ -120,6 +137,18 @@ def test_missing_file_is_validation_error(tmp_path):
 def test_malformed_file_is_validation_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
+    assert run_cli("ged", str(bad)) == 1
+
+
+def test_non_utf8_file_is_validation_error(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9", "nodes": [], "edges": []}')
+    assert run_cli("ged", str(bad)) == 1
+
+
+def test_deeply_nested_file_is_validation_error(tmp_path):
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100000)
     assert run_cli("ged", str(bad)) == 1
 
 
