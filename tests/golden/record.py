@@ -23,6 +23,7 @@ from fairmatch import (
     build_divisible,
     build_indivisible,
     egalitarian_profile,
+    format_rational,
     ged_decompose,
     max_flow,
     water_filling_breakpoints,
@@ -48,10 +49,6 @@ def seeded_instance(seed: int, n: int, degree: float) -> Instance:
     )
 
 
-def _rational(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def observe(inst: Instance) -> dict:
     """The flow-independent outputs of both rules on ``inst``."""
     ged = ged_decompose(inst)
@@ -63,10 +60,10 @@ def observe(inst: Instance) -> dict:
         observed[model] = {
             "profile": egalitarian_profile(construction).to_json_dict(),
             "breakpoints": [
-                {"lam": _rational(b.lam), "kind": b.kind, "bottleneck": sorted(b.bottleneck)}
+                {"lam": format_rational(b.lam), "kind": b.kind, "bottleneck": sorted(b.bottleneck)}
                 for b in water_filling_breakpoints(construction)
             ],
-            "max_flow": _rational(max_flow(construction.network).value),
+            "max_flow": format_rational(max_flow(construction.network).value),
         }
     return observed
 

@@ -16,9 +16,9 @@ def calls(monkeypatch):
         original = getattr(flows, name)
         counts[name] = 0
 
-        def counted(*args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         for module in (flows, mechanism, cli):
             if getattr(module, name, None) is original:
