@@ -125,6 +125,8 @@ def _cmd_lottery(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise InstanceError(f"--samples must be nonnegative, got {args.samples}")
     inst = load_instance(args.instance)
     outcome = indivisible_outcome(inst)
     samples = [

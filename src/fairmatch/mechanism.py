@@ -16,6 +16,7 @@ from .flows import (
     Flow,
     FlowNetwork,
     decompose_max_flow,
+    is_maximum,
     max_flow,
     maximal_min_cut,
     min_cut,
@@ -212,26 +213,31 @@ def _sup_full_shipping(
     return current, flow, capped
 
 
-def _bottleneck_identity(
-    net: FlowNetwork,
-    const_caps: Mapping[Arc, Fraction],
-    linear_arcs: frozenset[Arc],
-    lam: Fraction,
-    cut_side: frozenset[str],
-) -> None:
+def _lowered_cap(caps: list[Fraction], deficit: Fraction) -> Fraction:
+    """The common cap lam' at which ``sum(max(0, cap - lam') for cap in caps)``
+    equals ``deficit``: a sorted sweep down the caps of a cut side's agents."""
+    if not caps:
+        raise MechanismError("bottleneck search lost its slope")
+    caps = sorted(caps, reverse=True)
+    total, count = caps[0], 1
+    while count < len(caps) and total - deficit < count * caps[count]:
+        total += caps[count]
+        count += 1
+    return (total - deficit) / count
+
+
+def _bottleneck_identity(capped: FlowNetwork, cut_side: frozenset[str]) -> None:
     """Assert the breakpoint identity: the bottleneck group's joint supply equals
     the capacity it is shipping into (its demand image plus crossing edge caps)."""
-    caps = _caps_at(const_caps, linear_arcs, lam)
     supply_in = Fraction(0)
     shipped_into = Fraction(0)
-    for arc, cap in net.arcs.items():
-        tail, head = arc
-        if arc in caps and tail == net.source:
+    for (tail, head), cap in capped.arcs.items():
+        if tail == capped.source:
             if head in cut_side:
-                supply_in += caps[arc]
+                supply_in += cap
         elif tail in cut_side and head not in cut_side:
             if cap is None:
-                raise MechanismError(f"unbounded arc {arc!r} crosses the bottleneck cut")
+                raise MechanismError(f"unbounded arc {(tail, head)!r} crosses the bottleneck cut")
             shipped_into += cap
     if supply_in != shipped_into:
         raise MechanismError(
@@ -260,42 +266,39 @@ def _water_fill(
     """Parametric egalitarian rule on the supply side: raise a common cap, freeze
     the maximal bottleneck group at each breakpoint, recurse on the rest.
 
-    Each breakpoint search starts at the previous breakpoint: the caps there are
-    the ones the previous search certified, and shippability is monotone in the
-    common cap, so no lower cap needs probing again.
+    Each breakpoint is found by discrete Newton from the largest active peak down,
+    every active agent capped at ``min(lam, peak)``. The caps grow with ``lam``, so
+    the minimum cuts are nested (Gallo, Grigoriadis & Tarjan): every probe stays at
+    or above the breakpoint and no cut is used twice.
     """
     agents = sorted(supply_arcs)
     frozen: dict[str, Fraction] = {}
     active = list(agents)
     previous_break = Fraction(0)
     while active:
-        const_caps: dict[Arc, Fraction] = {
-            supply_arcs[agent]: frozen[agent] for agent in frozen
-        }
-        boundaries = sorted({peaks[agent] for agent in active if peaks[agent] > previous_break})
-        found = None
-        lo = previous_break
-        for boundary in boundaries:
-            hi = Fraction(boundary)
-            segment_const = dict(const_caps)
-            linear: set[Arc] = set()
-            for agent in active:
-                if peaks[agent] <= lo:
-                    segment_const[supply_arcs[agent]] = Fraction(peaks[agent])
-                else:
-                    linear.add(supply_arcs[agent])
-            deficit, flow, capped = _full_shipping_deficit(net, segment_const, frozenset(linear), hi)
-            if deficit > 0:
-                found = _sup_full_shipping(
-                    net, segment_const, frozenset(linear), lo, hi
-                ) + (segment_const, frozenset(linear))
+        lam = top = Fraction(max(peaks[agent] for agent in active))
+        # At or below the previous breakpoint every active agent sits at its
+        # peak, and the last probe shipped exactly these caps already.
+        while top > previous_break:
+            caps = {supply_arcs[agent]: frozen[agent] for agent in frozen}
+            caps.update({supply_arcs[agent]: min(lam, Fraction(peaks[agent])) for agent in active})
+            capped = net.with_caps(caps)
+            flow = max_flow(capped)
+            deficit = sum(caps.values(), Fraction(0)) - flow.value
+            if not deficit:
                 break
-            lo = hi
-        if found is None:
+            # On a certified minimum cut the deficit is the cut side's excess.
+            cut_side = min_cut(capped, flow)
+            cut_caps = [caps[supply_arcs[a]] for a in active if supply_arcs[a][1] in cut_side]
+            lowered = _lowered_cap(cut_caps, deficit)
+            if not previous_break <= lowered < lam:
+                raise MechanismError("bottleneck search left its segment")
+            lam = lowered
+        if lam == top:
             if trace is not None:
                 trace.append(
                     Breakpoint(
-                        lam=Fraction(max(peaks[agent] for agent in active)),
+                        lam=top,
                         kind="type-1",
                         bottleneck=frozenset(active),
                         image=frozenset(),
@@ -304,12 +307,9 @@ def _water_fill(
             for agent in active:
                 frozen[agent] = Fraction(peaks[agent])
             break
-        lam, flow, capped, segment_const, linear = found
-        if lam < previous_break:
-            raise MechanismError("breakpoints must be nondecreasing")
         previous_break = lam
         bottleneck_side = maximal_min_cut(capped, flow)
-        _bottleneck_identity(net, segment_const, linear, lam, bottleneck_side)
+        _bottleneck_identity(capped, bottleneck_side)
         newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
         if not newly:
             raise MechanismError("breakpoint without a bottlenecked agent")
@@ -504,10 +504,7 @@ def _matching_from_member(
     matching.check_feasible(inst)
     utilities = matching.utilities(inst)
     for agent in construction.agents:
-        outflow = sum(
-            (member.on(*arc) for arc in construction.network.arcs if arc[0] == _a(agent)),
-            Fraction(0),
-        )
+        outflow = member.on(*construction.supply_arcs[agent])
         if utilities[agent] != outflow:
             raise MechanismError(
                 f"agent {agent!r}: matched {utilities[agent]} but the member ships {outflow}"
@@ -526,10 +523,9 @@ def build_lottery(
         raise MechanismError("lotteries are defined for the indivisible construction")
     ged = construction.ged
     assert ged is not None
-    full_value = max_flow(construction.network).value
-    if profile.total != full_value:
-        raise MechanismError("profile total does not match the maximum flow value")
     flow = egalitarian_flow(construction, profile)
+    if not is_maximum(construction.network, flow):
+        raise MechanismError("profile total does not match the maximum flow value")
     combination = decompose_max_flow(construction.network, flow)
 
     perfect_part: BMatching | None = None
@@ -546,7 +542,7 @@ def build_lottery(
     expected = {agent: Fraction(0) for agent in construction.agents}
     for member, weight in combination.entries:
         matching = _matching_from_member(inst, construction, perfect_part, member)
-        if matching.total_utility != full_value:
+        if matching.total_utility != flow.value:
             raise MechanismError("lottery member is not a maximum b-matching")
         utilities = matching.utilities(inst)
         for agent in expected:

@@ -137,9 +137,13 @@ def peaked_instances_up_to_iso(max_nodes: int, max_peak: int) -> list[Instance]:
 
 
 def random_connected_instance(
-    rng: random.Random, max_nodes: int, max_peak: int, extra_edge_prob: float = 0.35
+    rng: random.Random,
+    max_nodes: int,
+    max_peak: int,
+    extra_edge_prob: float = 0.35,
+    min_nodes: int = 2,
 ) -> Instance:
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     edges: set[Pair] = set()
     for v in range(1, n):
         edges.add(tuple(sorted((rng.randrange(v), v))))

@@ -107,6 +107,14 @@ def test_sample_deterministic_for_seed(capsys, triangle_file):
     assert len(json.loads(first)["samples"]) == 4
 
 
+def test_sample_rejects_negative_count(capsys, triangle_file):
+    assert run_cli("sample", "--samples", "-3", "--seed", "1", triangle_file) == 1
+    assert capsys.readouterr().out == ""
+    status, out = run_cli_capture(capsys, "sample", "--samples", "0", "--seed", "1", triangle_file)
+    assert status == 0
+    assert json.loads(out)["samples"] == []
+
+
 def test_verify_passes_on_triangle(capsys, triangle_file):
     status, out = run_cli_capture(capsys, "verify", "--oracle", triangle_file)
     assert status == 0

@@ -272,6 +272,20 @@ def test_methods_agree_random(seed):
     assert egalitarian_profile(built).values == egalitarian_lp(built).values
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_methods_agree_many_peak_levels(seed):
+    # Many distinct peaks give many peak levels between consecutive breakpoints.
+    rng = random.Random(7100 + seed)
+    divisible = build_divisible(
+        random_connected_instance(rng, max_nodes=10, max_peak=60, min_nodes=6)
+    )
+    assert egalitarian_profile(divisible).values == egalitarian_lp(divisible).values
+    indivisible = build_indivisible(
+        random_connected_instance(rng, max_nodes=10, max_peak=6, min_nodes=6)
+    )
+    assert egalitarian_profile(indivisible).values == egalitarian_lp(indivisible).values
+
+
 def test_breakpoint_trace_hub15_network(hub15):
     from fairmatch import water_filling_breakpoints
 

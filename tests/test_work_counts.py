@@ -1,4 +1,5 @@
-"""Upper bounds on the flow work the mechanism does on hub15.
+"""Upper bounds on the flow work the mechanism does on hub15 and on a path
+with many distinct peaks.
 
 Counts go through every binding of a function (``fairmatch.flows`` and the
 modules that import it), so a repeated solve fails here without any timing.
@@ -6,7 +7,9 @@ modules that import it), so a repeated solve fails here without any timing.
 
 import pytest
 
-from fairmatch import build_indivisible, cli, egalitarian_profile, flows, mechanism
+from fairmatch import build_divisible, build_indivisible, cli, egalitarian_profile, flows, mechanism
+
+from helpers import path_instance
 
 
 @pytest.fixture
@@ -29,10 +32,17 @@ def calls(monkeypatch):
 def test_egalitarian_profile_solves_hub15(hub15, calls):
     construction = build_indivisible(hub15)
     egalitarian_profile(construction)
-    assert calls["max_flow"] <= 9
+    assert calls["max_flow"] <= 6
 
 
 def test_verify_decomposes_hub15_once(hub15_file, calls, capsys):
     assert cli.main(["verify", hub15_file]) == 0
     assert calls["decompose_max_flow"] == 1
-    assert calls["max_flow"] <= 30
+    assert calls["max_flow"] <= 22
+
+
+def test_egalitarian_profile_solves_distinct_peaks_path(calls):
+    # 30 distinct peaks: a search that probed every peak level would make ~29 solves
+    construction = build_divisible(path_instance(30, tuple(range(10, 40))))
+    egalitarian_profile(construction)
+    assert calls["max_flow"] <= 3
