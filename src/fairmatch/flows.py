@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Mapping
@@ -53,19 +54,14 @@ class FlowNetwork:
             coerced[arc] = value
         object.__setattr__(self, "arcs", coerced)
 
-    def nodes(self) -> tuple[str, ...]:
-        seen = {self.source, self.sink}
-        for u, v in self.arcs:
-            seen.add(u)
-            seen.add(v)
-        return tuple(sorted(seen))
-
+    @cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
-        """Residual-traversal neighbor lists (both arc directions), sorted."""
-        nbrs: dict[str, set[str]] = {node: set() for node in self.nodes()}
+        """Residual-traversal neighbor lists (both arc directions), sorted; the
+        keys are the node set. Built once per network."""
+        nbrs: dict[str, set[str]] = {self.source: set(), self.sink: set()}
         for u, v in self.arcs:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
         return {node: tuple(sorted(out)) for node, out in nbrs.items()}
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
@@ -108,15 +104,33 @@ class Flow:
 
 
 def _residual(net: FlowNetwork, values: Mapping[Arc, Fraction], u: str, v: str) -> Fraction | None:
-    """Residual capacity from u to v; None means unbounded."""
-    spare: Fraction | None = Fraction(0)
-    cap = net.arcs.get((u, v), Fraction(0))
-    if (u, v) in net.arcs:
-        spare = None if cap is None else cap - values.get((u, v), Fraction(0))
-    back = values.get((v, u), Fraction(0))
-    if spare is None:
-        return None
-    return spare + back
+    """Residual capacity from u to v; None means unbounded. A missing arc or
+    flow value counts as 0."""
+    back = values.get((v, u), 0)
+    if (u, v) not in net.arcs:
+        return back
+    cap = net.arcs[(u, v)]
+    return None if cap is None else cap - values.get((u, v), 0) + back
+
+
+def _search(net: FlowNetwork, values: Mapping[Arc, Fraction], backward: bool = False) -> dict[str, str]:
+    """BFS parent map of the residual network of ``values``: forward from the
+    source, or backward from the sink (along residual arcs into each node).
+    Stops once it reaches the other terminal."""
+    start, goal = (net.sink, net.source) if backward else (net.source, net.sink)
+    nbrs = net.neighbors
+    parent = {start: start}
+    queue = deque([start])
+    while queue and goal not in parent:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if v in parent:
+                continue
+            spare = _residual(net, values, v, u) if backward else _residual(net, values, u, v)
+            if spare is None or spare > 0:
+                parent[v] = u
+                queue.append(v)
+    return parent
 
 
 def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
@@ -140,22 +154,11 @@ def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
 def max_flow(net: FlowNetwork) -> Flow:
     """Maximum flow by shortest augmenting paths; integral whenever capacities are."""
     values: dict[Arc, Fraction] = {arc: Fraction(0) for arc in net.arcs}
-    nbrs = net.neighbors()
     total = Fraction(0)
     while True:
-        parent: dict[str, str] = {net.source: net.source}
-        queue = deque([net.source])
-        while queue and net.sink not in parent:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if v in parent:
-                    continue
-                spare = _residual(net, values, u, v)
-                if spare is None or spare > 0:
-                    parent[v] = u
-                    queue.append(v)
+        parent = _search(net, values)
         if net.sink not in parent:
-            break
+            return Flow(values=values, value=total)
         path: list[Arc] = []
         v = net.sink
         while v != net.source:
@@ -170,63 +173,35 @@ def max_flow(net: FlowNetwork) -> Flow:
         if bottleneck is None:
             raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
         for u, v in path:
-            back = values.get((v, u), Fraction(0))
+            back = values.get((v, u), 0)
             cancel = min(bottleneck, back)
             if cancel:
                 values[(v, u)] = back - cancel
             if bottleneck - cancel:
-                values[(u, v)] = values.get((u, v), Fraction(0)) + bottleneck - cancel
+                values[(u, v)] += bottleneck - cancel
         total += bottleneck
-    return Flow(values={arc: values.get(arc, Fraction(0)) for arc in net.arcs}, value=total)
-
-
-def source_reachable(net: FlowNetwork, flow: Flow) -> frozenset[str]:
-    """Nodes reachable from the source in the residual network."""
-    nbrs = net.neighbors()
-    seen = {net.source}
-    queue = deque([net.source])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if v in seen:
-                continue
-            spare = _residual(net, flow.values, u, v)
-            if spare is None or spare > 0:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
 
 
 def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
-    """The minimal minimum cut (source side), certified against ``flow``.
+    """The minimal minimum cut (source side): nodes the source reaches in the
+    residual network, certified against ``flow``.
 
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
     _check_feasible(net, flow)
-    reachable = source_reachable(net, flow)
+    reachable = _search(net, flow.values)
     if net.sink in reachable:
         raise FlowError("flow is not maximum: augmenting path exists")
-    return reachable
+    return frozenset(reachable)
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The maximal minimum cut (source side): nodes that cannot reach the sink."""
     _check_feasible(net, flow)
-    nbrs = net.neighbors()
-    reaches_sink = {net.sink}
-    queue = deque([net.sink])
-    while queue:
-        v = queue.popleft()
-        for u in nbrs[v]:
-            if u in reaches_sink:
-                continue
-            spare = _residual(net, flow.values, u, v)
-            if spare is None or spare > 0:
-                reaches_sink.add(u)
-                queue.append(u)
+    reaches_sink = _search(net, flow.values, backward=True)
     if net.source in reaches_sink:
         raise FlowError("flow is not maximum: augmenting path exists")
-    return frozenset(set(net.nodes()) - reaches_sink)
+    return frozenset(net.neighbors.keys() - reaches_sink.keys())
 
 
 def cut_capacity(net: FlowNetwork, side: Iterable[str]) -> Fraction:

@@ -14,9 +14,9 @@ from .flows import (
     Arc,
     ConvexCombination,
     Flow,
+    FlowError,
     FlowNetwork,
     decompose_max_flow,
-    is_maximum,
     max_flow,
     maximal_min_cut,
     min_cut,
@@ -179,7 +179,8 @@ def _sup_full_shipping(
     """Largest lambda in [lo, hi] at which every parameterized source arc still
     ships its full cap, found by discrete Newton from the right.
 
-    Requires deficit(lo) == 0 and deficit(hi) > 0; each step intersects the
+    Requires deficit(lo) == 0 and deficit(hi) >= 0, and returns hi with its
+    probe's flow and network when deficit(hi) == 0; each step intersects the
     supporting line of the current minimum cut with zero, which is exact in
     rational arithmetic and lands on the true breakpoint in finitely many cuts.
     """
@@ -371,11 +372,7 @@ def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:
         top = Fraction(min(peaks[agent] for agent in active))
         const_caps = {supply_arcs[agent]: frozen[agent] for agent in frozen}
         linear = frozenset(supply_arcs[agent] for agent in active)
-        deficit, flow, capped = _full_shipping_deficit(net, const_caps, linear, top)
-        if deficit > 0:
-            lam, flow, capped = _sup_full_shipping(net, const_caps, linear, Fraction(0), top)
-        else:
-            lam = top
+        lam, flow, capped = _sup_full_shipping(net, const_caps, linear, Fraction(0), top)
         blocked = maximal_min_cut(capped, flow)
         tight = [
             agent
@@ -524,9 +521,10 @@ def build_lottery(
     ged = construction.ged
     assert ged is not None
     flow = egalitarian_flow(construction, profile)
-    if not is_maximum(construction.network, flow):
-        raise MechanismError("profile total does not match the maximum flow value")
-    combination = decompose_max_flow(construction.network, flow)
+    try:
+        combination = decompose_max_flow(construction.network, flow)
+    except FlowError as exc:
+        raise MechanismError(f"the profile's flow does not decompose: {exc}") from exc
 
     perfect_part: BMatching | None = None
     if ged.perfect:

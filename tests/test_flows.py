@@ -91,6 +91,28 @@ def test_min_cut_rejects_infeasible_flow():
         min_cut(net, bogus)
 
 
+def test_sparse_flow_matches_dense_flow():
+    # a maximum flow that omits its zero arcs, here one arc of the antiparallel
+    # pair a<->b, reads as the same flow in the cuts and the decomposition
+    net = simple_net({
+        ("s", "a"): 1, ("s", "e"): 3, ("a", "b"): 1, ("b", "a"): 1, ("a", "t"): 1,
+        ("b", "c"): None, ("c", "t"): 1, ("e", "t"): 1,
+    })
+    half = Fraction(1, 2)
+    sparse = Flow(
+        values={("s", "a"): Fraction(1), ("a", "b"): half, ("a", "t"): half, ("b", "c"): half,
+                ("c", "t"): half, ("s", "e"): Fraction(1), ("e", "t"): Fraction(1)},
+        value=Fraction(2),
+    )
+    dense = Flow(values={arc: sparse.values.get(arc, Fraction(0)) for arc in net.arcs}, value=Fraction(2))
+    assert len(dense.values) > len(sparse.values)
+    assert min_cut(net, sparse) == min_cut(net, dense) == {"s", "e"}
+    assert maximal_min_cut(net, sparse) == maximal_min_cut(net, dense) == {"s", "e"}
+    combo = decompose_max_flow(net, sparse)
+    assert combo == decompose_max_flow(net, dense)
+    assert sorted(w for _, w in combo.entries) == [half, half]
+
+
 def _random_network(rng: random.Random) -> FlowNetwork:
     internals = [f"n{i}" for i in range(rng.randint(1, 4))]
     arcs = {}

@@ -1,5 +1,5 @@
-"""Upper bounds on the flow work the mechanism does on hub15 and on a path
-with many distinct peaks.
+"""Upper bounds on the flow work the mechanism and its reference do on hub15
+and on a path with many distinct peaks.
 
 Counts go through every binding of a function (``fairmatch.flows`` and the
 modules that import it), so a repeated solve fails here without any timing.
@@ -7,7 +7,16 @@ modules that import it), so a repeated solve fails here without any timing.
 
 import pytest
 
-from fairmatch import build_divisible, build_indivisible, cli, egalitarian_profile, flows, mechanism
+from fairmatch import (
+    build_divisible,
+    build_indivisible,
+    cli,
+    egalitarian_lp,
+    egalitarian_profile,
+    flows,
+    indivisible_outcome,
+    mechanism,
+)
 
 from helpers import path_instance
 
@@ -15,7 +24,7 @@ from helpers import path_instance
 @pytest.fixture
 def calls(monkeypatch):
     counts = {}
-    for name in ("max_flow", "decompose_max_flow"):
+    for name in ("max_flow", "decompose_max_flow", "is_maximum"):
         original = getattr(flows, name)
         counts[name] = 0
 
@@ -38,7 +47,7 @@ def test_egalitarian_profile_solves_hub15(hub15, calls):
 def test_verify_decomposes_hub15_once(hub15_file, calls, capsys):
     assert cli.main(["verify", hub15_file]) == 0
     assert calls["decompose_max_flow"] == 1
-    assert calls["max_flow"] <= 22
+    assert calls["max_flow"] <= 21
 
 
 def test_egalitarian_profile_solves_distinct_peaks_path(calls):
@@ -46,3 +55,15 @@ def test_egalitarian_profile_solves_distinct_peaks_path(calls):
     construction = build_divisible(path_instance(30, tuple(range(10, 40))))
     egalitarian_profile(construction)
     assert calls["max_flow"] <= 3
+
+
+def test_egalitarian_lp_solves_hub15(hub15, calls):
+    # the reference solves each round's top probe once
+    egalitarian_lp(build_indivisible(hub15))
+    assert calls["max_flow"] <= 4
+
+
+def test_indivisible_outcome_certifies_hub15_flows_once(hub15, calls):
+    # the pinned flow once, then each of the lottery's three members
+    indivisible_outcome(hub15)
+    assert calls["is_maximum"] <= 4
