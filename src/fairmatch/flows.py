@@ -65,13 +65,16 @@ class FlowNetwork:
         return {node: tuple(sorted(out)) for node, out in nbrs.items()}
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
-        """A copy with some arc capacities replaced."""
+        """A copy with some arc capacities replaced. The arc set is unchanged, so
+        the copy shares this network's neighbor lists."""
         unknown = set(overrides) - set(self.arcs)
         if unknown:
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
         arcs = dict(self.arcs)
         arcs.update(overrides)
-        return FlowNetwork(self.source, self.sink, arcs)
+        copy = FlowNetwork(self.source, self.sink, arcs)
+        copy.__dict__["neighbors"] = self.neighbors
+        return copy
 
     def reversed(self) -> "FlowNetwork":
         """The network with every arc reversed and source/sink swapped."""

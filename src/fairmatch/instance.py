@@ -15,7 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .flows import Flow
 
 
 class InstanceError(ValueError):
@@ -331,9 +334,15 @@ def contract_matching(expanded: ExpandedInstance, matching: Iterable[Edge]) -> B
 
 @dataclass(frozen=True)
 class UtilityProfile:
-    """Exact per-agent utilities; values are nonnegative rationals."""
+    """Exact per-agent utilities; values are nonnegative rationals.
+
+    A profile made by the water-fill carries its ``flow``: a maximum flow of the
+    construction with every supply arc pinned to the agent's value. It takes no
+    part in equality.
+    """
 
     values: dict[str, Fraction]
+    flow: Flow | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         coerced = {node: Fraction(x) for node, x in self.values.items()}

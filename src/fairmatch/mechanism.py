@@ -259,11 +259,8 @@ class Breakpoint:
 
 
 def _water_fill(
-    net: FlowNetwork,
-    supply_arcs: Mapping[str, Arc],
-    peaks: Mapping[str, int],
-    trace: list[Breakpoint] | None = None,
-) -> dict[str, Fraction]:
+    construction: BipartiteConstruction,
+) -> tuple[dict[str, Fraction], tuple[Breakpoint, ...], Flow]:
     """Parametric egalitarian rule on the supply side: raise a common cap, freeze
     the maximal bottleneck group at each breakpoint, recurse on the rest.
 
@@ -271,11 +268,18 @@ def _water_fill(
     every active agent capped at ``min(lam, peak)``. The caps grow with ``lam``, so
     the minimum cuts are nested (Gallo, Grigoriadis & Tarjan): every probe stays at
     or above the breakpoint and no cut is used twice.
+
+    Returns the frozen values, the breakpoints, and the last probe's flow: a
+    maximum flow of the network with every supply arc pinned to its value.
     """
-    agents = sorted(supply_arcs)
+    net = construction.network
+    supply_arcs = construction.supply_arcs
+    peaks = construction.peaks
     frozen: dict[str, Fraction] = {}
-    active = list(agents)
+    trace: list[Breakpoint] = []
+    active = sorted(supply_arcs)
     previous_break = Fraction(0)
+    capped, flow = net, None
     while active:
         lam = top = Fraction(max(peaks[agent] for agent in active))
         # At or below the previous breakpoint every active agent sits at its
@@ -296,15 +300,9 @@ def _water_fill(
                 raise MechanismError("bottleneck search left its segment")
             lam = lowered
         if lam == top:
-            if trace is not None:
-                trace.append(
-                    Breakpoint(
-                        lam=top,
-                        kind="type-1",
-                        bottleneck=frozenset(active),
-                        image=frozenset(),
-                    )
-                )
+            trace.append(
+                Breakpoint(lam=top, kind="type-1", bottleneck=frozenset(active), image=frozenset())
+            )
             for agent in active:
                 frozen[agent] = Fraction(peaks[agent])
             break
@@ -314,45 +312,36 @@ def _water_fill(
         newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
         if not newly:
             raise MechanismError("breakpoint without a bottlenecked agent")
-        if trace is not None:
-            fresh_nodes = {supply_arcs[agent][1] for agent in newly}
-            trace.append(
-                Breakpoint(
-                    lam=lam,
-                    kind="type-2",
-                    bottleneck=frozenset(newly),
-                    image=frozenset(
-                        head for (tail, head), x in flow.values.items()
-                        if tail in fresh_nodes and x > 0
-                    ),
-                )
-            )
+        fresh_nodes = {supply_arcs[agent][1] for agent in newly}
+        image = frozenset(
+            head for (tail, head), x in flow.values.items() if tail in fresh_nodes and x > 0
+        )
+        trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
         for agent in newly:
             frozen[agent] = min(lam, Fraction(peaks[agent]))
         active = [agent for agent in active if agent not in newly]
 
+    if flow is None:  # no agents, so no probe: the zero flow ships the empty profile
+        flow = Flow(values=dict.fromkeys(net.arcs, Fraction(0)), value=Fraction(0))
     # ``capped`` and ``flow`` are the last probe's, and it solved the frozen caps.
-    if agents and (
-        flow.value != sum(frozen.values(), Fraction(0))
-        or any(capped.arcs[supply_arcs[agent]] != frozen[agent] for agent in agents)
+    if flow.value != sum(frozen.values(), Fraction(0)) or any(
+        capped.arcs[arc] != frozen[agent] for agent, arc in supply_arcs.items()
     ):
         raise MechanismError("frozen egalitarian profile is not fully shippable")
-    return frozen
+    return frozen, tuple(trace), flow
 
 
 def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
-    """Water-filling egalitarian profile for the A-side agents of a construction."""
-    return UtilityProfile(
-        _water_fill(construction.network, construction.supply_arcs, construction.peaks)
-    )
+    """Water-filling egalitarian profile for the A-side agents of a construction,
+    carrying the fill's last flow."""
+    values, _, flow = _water_fill(construction)
+    return UtilityProfile(values, flow=flow)
 
 
 def water_filling_breakpoints(construction: BipartiteConstruction) -> tuple[Breakpoint, ...]:
     """The rule's breakpoint trace: type-2 bottleneck freezes in order, then the
     terminal type-1 peaks event when some agents never bottleneck."""
-    trace: list[Breakpoint] = []
-    _water_fill(construction.network, construction.supply_arcs, construction.peaks, trace)
-    return tuple(trace)
+    return _water_fill(construction)[1]
 
 
 def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:
@@ -513,14 +502,17 @@ def build_lottery(
     inst: Instance, construction: BipartiteConstruction, profile: UtilityProfile
 ) -> Lottery:
     """Realize a fractional egalitarian profile as a lottery over integral maximum
-    b-matchings: decompose the profile's maximum flow, then map every integral
-    member back to a b-matching (perfect side internally, over-demanded exchange
-    from the arcs, components completed to their internal totals)."""
+    b-matchings: decompose the profile's maximum flow (the water-fill's own when
+    the profile carries one on this network), then map every integral member back
+    to a b-matching (perfect side internally, over-demanded exchange from the
+    arcs, components completed to their internal totals)."""
     if construction.kind != "indivisible":
         raise MechanismError("lotteries are defined for the indivisible construction")
     ged = construction.ged
     assert ged is not None
-    flow = egalitarian_flow(construction, profile)
+    flow = profile.flow
+    if flow is None or flow.values.keys() != construction.network.arcs.keys():
+        flow = egalitarian_flow(construction, profile)  # not made by this construction
     try:
         combination = decompose_max_flow(construction.network, flow)
     except FlowError as exc:
@@ -597,34 +589,14 @@ def bipartite_egalitarian(
     inst: Instance, suppliers: Iterable[str], demanders: Iterable[str]
 ) -> UtilityProfile:
     """The direct two-sided egalitarian rule on a bipartite instance: water-fill
-    the supplier side against fixed demands, then the demander side against fixed
-    supplies on the reversed network, and combine."""
-    supply_side = sorted(suppliers)
-    demand_side = sorted(demanders)
-    supply_set = set(supply_side)
-    if supply_set & set(demand_side) or supply_set | set(demand_side) != set(inst.peaks):
+    the supplier side against fixed demands and the demander side against fixed
+    supplies. On a bipartite graph the doubled network of :func:`build_divisible`
+    is the disjoint union of those two networks, so one fill on it is the rule."""
+    supply_set = set(suppliers)
+    demand_set = set(demanders)
+    if supply_set & demand_set or supply_set | demand_set != set(inst.peaks):
         raise InstanceError("suppliers and demanders must partition the nodes")
     for u, v in inst.edges:
         if (u in supply_set) == (v in supply_set):
             raise InstanceError(f"edge ({u!r}, {v!r}) does not cross the bipartition")
-    arcs: dict[Arc, Fraction | None] = {}
-    for node in supply_side:
-        arcs[(SOURCE, "s/" + node)] = Fraction(inst.peaks[node])
-    for node in demand_side:
-        arcs[("d/" + node, SINK)] = Fraction(inst.peaks[node])
-    for u, v in inst.edges:
-        supplier, demander = (u, v) if u in supply_set else (v, u)
-        cap = inst.capacities.get((u, v))
-        arcs[("s/" + supplier, "d/" + demander)] = None if cap is None else Fraction(cap)
-    net = FlowNetwork(SOURCE, SINK, arcs)
-    supplier_values = _water_fill(
-        net,
-        {node: (SOURCE, "s/" + node) for node in supply_side},
-        {node: inst.peaks[node] for node in supply_side},
-    )
-    demander_values = _water_fill(
-        net.reversed(),
-        {node: (SINK, "d/" + node) for node in demand_side},
-        {node: inst.peaks[node] for node in demand_side},
-    )
-    return UtilityProfile({**supplier_values, **demander_values})
+    return egalitarian_profile(build_divisible(inst))

@@ -226,6 +226,8 @@ def manipulation_experiment(
     prefers the manipulated outcome.
     """
     members = frozenset(coalition)
+    if not members:
+        raise InstanceError("the coalition is empty")
     unknown = members - set(inst.peaks)
     if unknown:
         raise InstanceError(f"unknown coalition agents {sorted(unknown)!r}")
@@ -239,7 +241,7 @@ def manipulation_experiment(
         new = manipulated[agent]
         deltas[agent] = canonical_delta(new, old, inst.peaks[agent])
         gains[agent] = prefers_somewhere(new, old, inst.peaks[agent])
-    if deltas and all(d > 0 for d in deltas.values()):
+    if all(d > 0 for d in deltas.values()):
         verdict = "profitable"
     elif all(d <= 0 for d in deltas.values()):
         verdict = "unprofitable"

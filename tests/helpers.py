@@ -8,7 +8,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from fairmatch import Instance
+from fairmatch import FlowNetwork, Instance, egalitarian_profile
+from fairmatch.mechanism import SINK, SOURCE, BipartiteConstruction
 
 
 def triangle(peaks: tuple[int, int, int] = (1, 1, 1)) -> Instance:
@@ -158,8 +159,12 @@ def random_connected_instance(
     )
 
 
-def random_bipartite_instance(rng: random.Random, max_side: int, max_peak: int):
-    """A connected bipartite instance plus its (suppliers, demanders) bipartition."""
+def random_bipartite_instance(
+    rng: random.Random, max_side: int, max_peak: int, cap_prob: float = 0.0
+):
+    """A connected bipartite instance plus its (suppliers, demanders) bipartition.
+    Each edge gets a cap in 1..max(1, max_peak // 2) with probability ``cap_prob``;
+    small caps bind more often."""
     while True:
         left = rng.randint(1, max_side)
         right = rng.randint(1, max_side)
@@ -172,13 +177,54 @@ def random_bipartite_instance(rng: random.Random, max_side: int, max_peak: int):
             if rng.random() < 0.6
         }
         nodes = [(v, rng.randint(1, max_peak)) for v in suppliers + demanders]
-        inst = Instance.build("bipartite", nodes, sorted(edges))
+        caps = {}
+        if cap_prob:
+            top = max(1, max_peak // 2)
+            caps = {e: rng.randint(1, top) for e in sorted(edges) if rng.random() < cap_prob}
+        inst = Instance.build(
+            "bipartite", nodes, [(*e, caps[e]) if e in caps else e for e in sorted(edges)]
+        )
         index = {v: i for i, (v, _) in enumerate(nodes)}
         as_pairs = frozenset(
             tuple(sorted((index[u], index[v]))) for u, v in inst.edges
         )
         if is_connected(len(nodes), as_pairs):
             return inst, suppliers, demanders
+
+
+def direct_bipartite_rule(
+    inst: Instance, suppliers: list[str], demanders: list[str]
+) -> dict[str, Fraction]:
+    """The direct two-sided egalitarian rule on its own network, independent of
+    ``build_divisible``: water-fill the suppliers against fixed demands on the
+    supplier-to-demander network, then the demanders against fixed supplies on
+    its reverse."""
+    supply_set = set(suppliers)
+    arcs: dict[tuple[str, str], Fraction | None] = {}
+    for node in sorted(suppliers):
+        arcs[(SOURCE, "s/" + node)] = Fraction(inst.peaks[node])
+    for node in sorted(demanders):
+        arcs[("d/" + node, SINK)] = Fraction(inst.peaks[node])
+    for u, v in inst.edges:
+        supplier, demander = (u, v) if u in supply_set else (v, u)
+        cap = inst.capacities.get((u, v))
+        arcs[("s/" + supplier, "d/" + demander)] = None if cap is None else Fraction(cap)
+    net = FlowNetwork(SOURCE, SINK, arcs)
+    values: dict[str, Fraction] = {}
+    for side, network, terminal, prefix in (
+        (suppliers, net, SOURCE, "s/"),
+        (demanders, net.reversed(), SINK, "d/"),
+    ):
+        construction = BipartiteConstruction(
+            kind="direct",
+            network=network,
+            agents=tuple(sorted(side)),
+            peaks={node: inst.peaks[node] for node in side},
+            supply_arcs={node: (terminal, prefix + node) for node in side},
+            provenance={},
+        )
+        values.update(egalitarian_profile(construction).values)
+    return values
 
 
 def instance_automorphisms(inst: Instance) -> list[dict[str, str]]:

@@ -29,6 +29,7 @@ from fairmatch.oracle import (
 )
 
 from helpers import (
+    direct_bipartite_rule,
     hub15_instance,
     path_instance,
     peaked_instances_up_to_iso,
@@ -189,9 +190,9 @@ def test_criterion_7_extension_to_bipartite():
             inst, suppliers, demanders = random_bipartite_instance(
                 rng, max_side=3, max_peak=3
             )
-            direct = bipartite_egalitarian(inst, suppliers, demanders)
-            pipeline = indivisible_outcome(inst).profile
-            assert pipeline.values == direct.values
+            direct = direct_bipartite_rule(inst, suppliers, demanders)
+            assert bipartite_egalitarian(inst, suppliers, demanders).values == direct
+            assert indivisible_outcome(inst).profile.values == direct
 
 
 def test_criterion_8_flow_decomposition_exactness():

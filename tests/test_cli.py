@@ -213,6 +213,32 @@ def test_manipulate_hide_edge_cli(capsys, tmp_path):
     assert payload["deltas"] == {"s4": "0/1", "s7": "1/4"}
 
 
+def test_manipulate_empty_coalition_is_validation_error(capsys, triangle_file):
+    assert run_cli("manipulate", triangle_file, "--coalition", ",") == 1
+    assert "coalition is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lottery"],
+        ["solve", "--model", "indivisible"],
+        ["solve", "--model", "divisible", "--dump-flow"],
+        ["verify"],
+    ],
+)
+def test_instance_without_nodes(capsys, tmp_path, argv):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"nodes": [], "edges": []}))
+    status, out = run_cli_capture(capsys, *argv, str(path))
+    assert status == 0
+    payload = json.loads(out)
+    if argv[0] == "verify":
+        assert payload["passed"] is True
+    else:
+        assert payload["profile"] == {}
+
+
 def _run_subprocess(args, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(

@@ -39,6 +39,13 @@ def test_network_validation_errors():
         simple_net({("s", "a"): None, ("a", "t"): 1})
 
 
+def test_with_caps_shares_neighbor_lists():
+    net = simple_net({("s", "a"): 2, ("a", "b"): None, ("b", "t"): 3, ("s", "t"): 1})
+    capped = net.with_caps({("s", "a"): 1})
+    assert capped.neighbors is net.neighbors
+    assert capped.arcs[("s", "a")] == 1 and net.arcs[("s", "a")] == 2
+
+
 def test_diamond_doubled_network_value():
     # Forced by x1 + x2 <= x3 + x4 and x3 + x4 <= 5: total exchange tops out at 10.
     net = build_divisible(diamond_instance()).network

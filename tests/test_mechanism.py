@@ -24,6 +24,7 @@ from fairmatch import (
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
 from helpers import (
+    direct_bipartite_rule,
     expected_value,
     diamond_instance,
     instance_automorphisms,
@@ -383,6 +384,22 @@ def test_lottery_rejects_non_maximum_profile(tri):
         build_lottery(tri, built, profile_of({"a": 0, "b": 0, "c": 0}))
 
 
+def test_lottery_reuses_the_profile_flow_of_its_own_network(hub15):
+    built = build_indivisible(hub15)
+    profile = egalitarian_profile(built)
+    assert build_lottery(hub15, built, profile).flow is profile.flow
+    bare = build_lottery(hub15, built, UtilityProfile(profile.values))
+    assert bare.flow is not profile.flow
+    assert bare.to_json() == build_lottery(hub15, built, profile).to_json()
+
+
+def test_lottery_solves_again_for_a_flow_of_another_network(tri):
+    # the divisible rule's profile carries a flow of the doubled network
+    profile, _ = egalitarian_divisible(tri)
+    with pytest.raises(MechanismError, match="not realizable"):
+        build_lottery(tri, build_indivisible(tri), profile)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_lottery_expectation_random(seed):
     inst = random_connected_instance(random.Random(900 + seed), max_nodes=6, max_peak=3)
@@ -520,6 +537,15 @@ def test_direct_bipartite_rule_uniform_split():
     assert profile.values == {"s1": F(1, 2), "s2": F(1, 2), "d": F(1)}
 
 
+def test_direct_bipartite_rule_capacitated_edge():
+    # s1 can ship only 1 over its capped edge; s2 takes the rest of d's peak
+    inst = Instance.build(
+        "capped", [("s1", 2), ("s2", 2), ("d", 3)], [("s1", "d", 1), ("s2", "d")]
+    )
+    profile = bipartite_egalitarian(inst, ["s1", "s2"], ["d"])
+    assert profile.values == {"s1": F(1), "s2": F(2), "d": F(3)}
+
+
 def test_direct_bipartite_rule_rejects_bad_partition(tri):
     with pytest.raises(Exception, match="cross|partition"):
         bipartite_egalitarian(tri, ["a", "b"], ["c"])
@@ -530,6 +556,16 @@ def test_extension_pipeline_equals_direct_rule(seed):
     inst, suppliers, demanders = random_bipartite_instance(
         random.Random(3000 + seed), max_side=3, max_peak=3
     )
-    direct = bipartite_egalitarian(inst, suppliers, demanders)
-    pipeline = indivisible_outcome(inst).profile
-    assert pipeline.values == direct.values
+    direct = direct_bipartite_rule(inst, suppliers, demanders)
+    assert bipartite_egalitarian(inst, suppliers, demanders).values == direct
+    assert indivisible_outcome(inst).profile.values == direct
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bipartite_rule_equals_direct_rule_with_caps(seed):
+    # one fill on the doubled network equals the two fills on the direct network
+    inst, suppliers, demanders = random_bipartite_instance(
+        random.Random(5000 + seed), max_side=4, max_peak=5, cap_prob=0.5
+    )
+    direct = direct_bipartite_rule(inst, suppliers, demanders)
+    assert bipartite_egalitarian(inst, suppliers, demanders).values == direct

@@ -186,6 +186,11 @@ def test_empty_deviation_is_identity(tri):
     assert report.truthful.values == report.manipulated.values
 
 
+def test_empty_coalition_is_rejected(tri):
+    with pytest.raises(InstanceError, match="coalition is empty"):
+        manipulation_experiment(tri, Deviation(), [])
+
+
 def test_deviation_validation(tri):
     with pytest.raises(InstanceError, match="non-coalition"):
         manipulation_experiment(tri, Deviation(peaks={"b": 2}), ["a"])

@@ -47,7 +47,7 @@ def test_egalitarian_profile_solves_hub15(hub15, calls):
 def test_verify_decomposes_hub15_once(hub15_file, calls, capsys):
     assert cli.main(["verify", hub15_file]) == 0
     assert calls["decompose_max_flow"] == 1
-    assert calls["max_flow"] <= 21
+    assert calls["max_flow"] <= 20
 
 
 def test_egalitarian_profile_solves_distinct_peaks_path(calls):
@@ -61,6 +61,12 @@ def test_egalitarian_lp_solves_hub15(hub15, calls):
     # the reference solves each round's top probe once
     egalitarian_lp(build_indivisible(hub15))
     assert calls["max_flow"] <= 4
+
+
+def test_indivisible_outcome_solves_hub15(hub15, calls):
+    # the lottery decomposes the water-fill's last flow instead of solving it again
+    indivisible_outcome(hub15)
+    assert calls["max_flow"] <= 8
 
 
 def test_indivisible_outcome_certifies_hub15_flows_once(hub15, calls):
