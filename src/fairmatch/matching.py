@@ -21,36 +21,48 @@ class MatchingError(ValueError):
     """Invalid matching-engine arguments."""
 
 
-def _blossom_search(n: int, adj: list[list[int]], mate: list[int], root: int):
-    """One alternating-forest phase from ``root``.
+def _blossom_search(n: int, adj: list[list[int]], mate: list[int], roots: list[int]):
+    """One alternating-forest phase grown from every vertex in ``roots`` at once.
 
-    Returns ``(endpoint, parent)`` when an augmenting path to ``endpoint`` was
-    found, else ``(-1, outer)`` where ``outer`` marks all vertices reachable
-    from ``root`` by an even alternating path (blossoms fully included).
+    Returns ``(endpoint, parent)`` when an augmenting path was found, else
+    ``(-1, outer)`` where ``outer`` marks all vertices reachable from a root by
+    an even alternating path (blossoms fully included). ``endpoint`` is either
+    an exposed non-root vertex, whose path ``parent`` encodes for `_augment`,
+    or, with several roots, a vertex where two trees meet.
+
+    A contraction costs time proportional to the blossoms it merges: each base
+    keeps the list of its members, and only the marked bases are relabelled.
+    The newly outer vertices are queued in ascending index order.
     """
     parent = [-1] * n
     base = list(range(n))
+    members: dict[int, list[int]] = {}
     outer = [False] * n
-    outer[root] = True
-    queue = deque([root])
+    for root in roots:
+        outer[root] = True
+    queue = deque(roots)
 
     def lowest_common_base(a: int, b: int) -> int:
-        seen = [False] * n
+        """The base where the tree paths of ``a`` and ``b`` meet, or -1 when they
+        lie in different trees."""
+        seen = set()
         x = base[a]
         while True:
-            seen[x] = True
+            seen.add(x)
             if mate[x] == -1:
                 break
             x = base[parent[mate[x]]]
         y = base[b]
-        while not seen[y]:
+        while y not in seen:
+            if mate[y] == -1:
+                return -1
             y = base[parent[mate[y]]]
         return y
 
-    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, stem: int, child: int, in_blossom: set[int]) -> None:
         while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[mate[v]])
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
@@ -60,17 +72,24 @@ def _blossom_search(n: int, adj: list[list[int]], mate: list[int], root: int):
         for to in adj[v]:
             if base[v] == base[to] or mate[v] == to:
                 continue
-            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+            if outer[to]:
                 stem = lowest_common_base(v, to)
-                in_blossom = [False] * n
+                if stem == -1:
+                    return to, parent
+                in_blossom: set[int] = set()
                 mark_path(v, stem, to, in_blossom)
                 mark_path(to, stem, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
+                merged = members.setdefault(stem, [stem])
+                newly_outer = []
+                for b in in_blossom:
+                    for i in members.pop(b, (b,)):
                         base[i] = stem
+                        merged.append(i)
                         if not outer[i]:
                             outer[i] = True
-                            queue.append(i)
+                            newly_outer.append(i)
+                newly_outer.sort()
+                queue.extend(newly_outer)
             elif parent[to] == -1:
                 parent[to] = v
                 if mate[to] == -1:
@@ -91,30 +110,37 @@ def _augment(mate: list[int], parent: list[int], endpoint: int) -> None:
 
 
 def maximum_matching_indices(n: int, adj: list[list[int]]) -> list[int]:
-    """Maximum-cardinality matching on an indexed graph; returns the mate array."""
+    """Maximum-cardinality matching on an indexed graph; returns the mate array.
+
+    One search per exposed vertex, in index order. A vertex whose neighbor list
+    equals that of the last root whose search failed is skipped: an augmenting
+    path from it would be one from that root too, and a root with no augmenting
+    path keeps none after later augmentations. Copies of one agent are such twins.
+    """
     mate = [-1] * n
+    failed = None
     for v in range(n):
-        if mate[v] == -1:
-            endpoint, result = _blossom_search(n, adj, mate, v)
+        if mate[v] == -1 and adj[v] != failed:
+            endpoint, result = _blossom_search(n, adj, mate, [v])
             if endpoint != -1:
                 _augment(mate, result, endpoint)
+            else:
+                failed = adj[v]
     return mate
 
 
 def gallai_edmonds_indices(n: int, adj: list[list[int]], mate: list[int]) -> set[int]:
     """The D set: vertices missed by some maximum matching.
 
-    One failed blossom search per exposed vertex of a maximum matching; the
-    union of the outer-labelled vertices is exactly D.
+    One alternating forest grown from every exposed vertex of a maximum
+    matching; its outer vertices are exactly D (Gallai-Edmonds structure
+    theorem). Two trees that meet close an augmenting path, so the matching
+    was not maximum.
     """
-    avoidable: set[int] = set()
-    for v in range(n):
-        if mate[v] == -1:
-            endpoint, outer = _blossom_search(n, adj, mate, v)
-            if endpoint != -1:
-                raise MatchingError("matching passed to the decomposition is not maximum")
-            avoidable.update(i for i in range(n) if outer[i])
-    return avoidable
+    endpoint, outer = _blossom_search(n, adj, mate, [v for v in range(n) if mate[v] == -1])
+    if endpoint != -1:
+        raise MatchingError("matching passed to the decomposition is not maximum")
+    return {i for i in range(n) if outer[i]}
 
 
 def _indexed(nodes: tuple[str, ...], edges: Iterable[tuple[str, str]]):

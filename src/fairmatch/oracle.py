@@ -9,7 +9,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .instance import BMatching, Instance, InstanceError, UtilityProfile
-from .mechanism import indivisible_outcome
+from .matching import ged_decompose
+from .mechanism import build_indivisible, egalitarian_profile
+from .mechanism import indivisible_outcome  # noqa: F401  kept: perfbench checks this binding
 
 DEFAULT_ENUMERATION_LIMIT = 14
 ENV_LIMIT = "FAIRMATCH_ORACLE_LIMIT"
@@ -215,6 +217,12 @@ class ManipulationReport:
         }
 
 
+def _indivisible_profile(inst: Instance) -> UtilityProfile:
+    # no lottery; decomposing first keeps the pipeline's ExpansionError for a
+    # capacitated instance
+    return egalitarian_profile(build_indivisible(inst, ged_decompose(inst)))
+
+
 def manipulation_experiment(
     inst: Instance, deviation: Deviation, coalition: Iterable[str]
 ) -> ManipulationReport:
@@ -232,8 +240,8 @@ def manipulation_experiment(
     if unknown:
         raise InstanceError(f"unknown coalition agents {sorted(unknown)!r}")
     deviation.validate(inst, members)
-    truthful = indivisible_outcome(inst).profile
-    manipulated = indivisible_outcome(apply_deviation(inst, deviation)).profile
+    truthful = _indivisible_profile(inst)
+    manipulated = _indivisible_profile(apply_deviation(inst, deviation))
     deltas: dict[str, Fraction] = {}
     gains: dict[str, bool] = {}
     for agent in sorted(members):

@@ -1,14 +1,16 @@
 """Shared fixtures and generators for the test suite: canonical instances,
 exhaustive small-graph enumeration up to isomorphism, random instance sampling,
-and independent certificates (brute-force matching, deficiency witnesses)."""
+independent certificates (brute-force matching, deficiency witnesses), and
+reference implementations that the engine is compared against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from collections import deque
 from itertools import combinations, permutations, product
 
-from fairmatch import FlowNetwork, Instance, egalitarian_profile
+from fairmatch import FlowNetwork, Instance, MatchingError, egalitarian_profile
 from fairmatch.mechanism import SINK, SOURCE, BipartiteConstruction
 
 
@@ -225,6 +227,95 @@ def direct_bipartite_rule(
         )
         values.update(egalitarian_profile(construction).values)
     return values
+
+
+def reference_blossom_search(n: int, adj: list[list[int]], mate: list[int], root: int):
+    """Single-root blossom search that walks all n vertices per contraction; the
+    reference for ``fairmatch.matching._blossom_search``.
+
+    Returns ``(endpoint, parent)`` when an augmenting path to ``endpoint`` was
+    found, else ``(-1, outer)`` where ``outer`` marks all vertices reachable
+    from ``root`` by an even alternating path (blossoms fully included).
+    """
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+    outer[root] = True
+    queue = deque([root])
+
+    def lowest_common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        x = base[a]
+        while True:
+            seen[x] = True
+            if mate[x] == -1:
+                break
+            x = base[parent[mate[x]]]
+        y = base[b]
+        while not seen[y]:
+            y = base[parent[mate[y]]]
+        return y
+
+    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != stem:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                stem = lowest_common_base(v, to)
+                in_blossom = [False] * n
+                mark_path(v, stem, to, in_blossom)
+                mark_path(to, stem, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = stem
+                        if not outer[i]:
+                            outer[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if mate[to] == -1:
+                    return to, parent
+                outer[mate[to]] = True
+                queue.append(mate[to])
+    return -1, outer
+
+
+def reference_maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
+    """Maximum matching by one reference search per exposed vertex; the mate array."""
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] == -1:
+            endpoint, result = reference_blossom_search(n, adj, mate, v)
+            if endpoint != -1:
+                w = endpoint
+                while w != -1:
+                    prev = result[w]
+                    nxt = mate[prev]
+                    mate[w] = prev
+                    mate[prev] = w
+                    w = nxt
+    return mate
+
+
+def reference_gallai_edmonds(n: int, adj: list[list[int]], mate: list[int]) -> set[int]:
+    """The D set as the union of one failed reference search per exposed vertex."""
+    avoidable: set[int] = set()
+    for v in range(n):
+        if mate[v] == -1:
+            endpoint, outer = reference_blossom_search(n, adj, mate, v)
+            if endpoint != -1:
+                raise MatchingError("matching passed to the decomposition is not maximum")
+            avoidable.update(i for i in range(n) if outer[i])
+    return avoidable
 
 
 def instance_automorphisms(inst: Instance) -> list[dict[str, str]]:

@@ -12,7 +12,7 @@ from fairmatch import (
     max_matching,
     realize_targets,
 )
-from fairmatch.matching import maximum_matching_indices
+from fairmatch.matching import _indexed, gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.oracle import enumerate_bmatchings, pareto_profiles
 
 from helpers import (
@@ -22,6 +22,8 @@ from helpers import (
     path_instance,
     peaked_instances_up_to_iso,
     random_connected_instance,
+    reference_gallai_edmonds,
+    reference_maximum_matching,
     triangle,
 )
 
@@ -50,6 +52,47 @@ def test_blossom_matches_brute_force_random_graphs():
         n = rng.randint(6, 8)
         pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
         assert _mate_size(n, pairs) == brute_force_max_matching_size(n, pairs)
+
+
+def _assert_engine_matches_reference(n, adj):
+    mate = maximum_matching_indices(n, adj)
+    assert mate == reference_maximum_matching(n, adj)
+    assert gallai_edmonds_indices(n, adj, mate) == reference_gallai_edmonds(n, adj, mate)
+
+
+def test_engine_matches_reference_on_random_graphs():
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        n = rng.randint(2, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7))
+        adj = [[] for _ in range(n)]
+        for u, v in combinations(range(n), 2):
+            if rng.random() < density:
+                adj[u].append(v)
+                adj[v].append(u)
+        _assert_engine_matches_reference(n, adj)
+
+
+def test_engine_matches_reference_on_copy_graphs():
+    # copies of one agent are twins, and large peaks make blossoms plentiful
+    rng = random.Random(20261019)
+    for _ in range(60):
+        inst = random_connected_instance(rng, max_nodes=8, max_peak=12)
+        expanded = expand_nodes(inst)
+        _, adj = _indexed(expanded.copy_nodes, expanded.edges)
+        _assert_engine_matches_reference(len(adj), adj)
+
+
+def test_decomposition_rejects_empty_matching_on_an_edge():
+    with pytest.raises(MatchingError, match="not maximum"):
+        gallai_edmonds_indices(2, [[1], [0]], [-1, -1])
+
+
+def test_decomposition_rejects_trees_that_meet():
+    # path a-b-c-d matched on b-c: the trees grown from a and d meet at c
+    adj = [[1], [0, 2], [1, 3], [2]]
+    with pytest.raises(MatchingError, match="not maximum"):
+        gallai_edmonds_indices(4, adj, [-1, 2, 1, -1])
 
 
 def test_max_matching_triangle_size_one(tri):

@@ -1,5 +1,5 @@
-"""Upper bounds on the flow work the mechanism and its reference do on hub15
-and on a path with many distinct peaks.
+"""Upper bounds on the flow and matching work the mechanism and its reference
+do on hub15, on a path with many distinct peaks and on a star with large peaks.
 
 Counts go through every binding of a function (``fairmatch.flows`` and the
 modules that import it), so a repeated solve fails here without any timing.
@@ -8,13 +8,18 @@ modules that import it), so a repeated solve fails here without any timing.
 import pytest
 
 from fairmatch import (
+    Deviation,
+    Instance,
     build_divisible,
     build_indivisible,
     cli,
     egalitarian_lp,
     egalitarian_profile,
     flows,
+    ged_decompose,
     indivisible_outcome,
+    manipulation_experiment,
+    matching,
     mechanism,
 )
 
@@ -73,3 +78,38 @@ def test_indivisible_outcome_certifies_hub15_flows_once(hub15, calls):
     # the pinned flow once, then each of the lottery's three members
     indivisible_outcome(hub15)
     assert calls["is_maximum"] <= 4
+
+
+def test_manipulation_builds_no_lottery(hub15, calls):
+    # two profiles, no lottery: nothing is decomposed
+    manipulation_experiment(hub15, Deviation(hide_edges=(("s6", "s12"),)), ["s6", "s12"])
+    assert calls["decompose_max_flow"] == 0
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    counts = {"blossom": 0}
+    original = matching._blossom_search
+
+    def counted(*args):
+        counts["blossom"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(matching, "_blossom_search", counted)
+    return counts
+
+
+def test_ged_searches_hub15(hub15, searches):
+    # twins of a failed root are skipped, and the decomposition is one forest
+    ged_decompose(hub15)
+    assert searches["blossom"] <= 20
+
+
+def test_ged_searches_star_with_large_peaks(searches):
+    inst = Instance.build(
+        "star",
+        [("c", 10), ("x", 30), ("y", 30), ("z", 7)],
+        [("c", "x"), ("c", "y"), ("c", "z"), ("x", "z")],
+    )
+    ged_decompose(inst)
+    assert searches["blossom"] <= 20
