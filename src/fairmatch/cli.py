@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .flows import FlowError, max_flow
 from .instance import Instance, InstanceError, UtilityProfile, format_rational, load_instance
-from .matching import ged_decompose, max_bmatching
+from .matching import ged_decompose
 from .mechanism import (
     MechanismError,
     build_divisible,
@@ -160,7 +160,7 @@ def _verify_checks(inst: Instance, with_oracle: bool) -> list[dict]:
         outcome = indivisible_outcome(inst)
         lottery = outcome.lottery
         flow_value = lottery.flow.value
-        matched = max_bmatching(inst).total_utility
+        matched = outcome.ged.matching.total_utility
         record(
             "indivisible-efficiency",
             outcome.profile.total == flow_value == matched,

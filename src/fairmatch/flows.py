@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Arc = tuple[str, str]
 #: Unbounded capacity sentinel. Never allowed on source- or sink-incident arcs.
@@ -75,14 +75,6 @@ class FlowNetwork:
         copy = FlowNetwork(self.source, self.sink, arcs)
         copy.__dict__["neighbors"] = self.neighbors
         return copy
-
-    def reversed(self) -> "FlowNetwork":
-        """The network with every arc reversed and source/sink swapped."""
-        return FlowNetwork(
-            source=self.sink,
-            sink=self.source,
-            arcs={(v, u): cap for (u, v), cap in self.arcs.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -205,18 +197,6 @@ def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     if net.source in reaches_sink:
         raise FlowError("flow is not maximum: augmenting path exists")
     return frozenset(net.neighbors.keys() - reaches_sink.keys())
-
-
-def cut_capacity(net: FlowNetwork, side: Iterable[str]) -> Fraction:
-    """Total capacity of arcs leaving ``side``; raises if an unbounded arc crosses."""
-    inside = set(side)
-    total = Fraction(0)
-    for (u, v), cap in net.arcs.items():
-        if u in inside and v not in inside:
-            if cap is None:
-                raise FlowError(f"unbounded arc {(u, v)!r} crosses the cut")
-            total += cap
-    return total
 
 
 def is_maximum(net: FlowNetwork, flow: Flow) -> bool:

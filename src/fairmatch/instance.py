@@ -13,6 +13,7 @@ The instance file format is a UTF-8 JSON object::
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -180,6 +181,9 @@ def parse_instance(text: str) -> Instance:
         raise InstanceError(f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise InstanceError("JSON nesting is too deep") from None
+    except ValueError:
+        # json.loads refuses an integer longer than the interpreter's digit limit
+        raise InstanceError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise InstanceError("instance file must be a JSON object")
     name = data.get("name", "")

@@ -1,15 +1,16 @@
-"""Maximum matchings (blossom), maximum b-matchings via node expansion, the
-Gallai-Edmonds decomposition with arbitrary peaks, and target realization."""
+"""Maximum matchings (blossom), maximum b-matchings on a reduced node expansion,
+the Gallai-Edmonds decomposition with arbitrary peaks, and target realization."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .instance import (
     BMatching,
-    ExpandedInstance,
+    Edge,
+    ExpansionError,
     Instance,
     canonical_edge,
     contract_matching,
@@ -109,15 +110,17 @@ def _augment(mate: list[int], parent: list[int], endpoint: int) -> None:
         v = nxt
 
 
-def maximum_matching_indices(n: int, adj: list[list[int]]) -> list[int]:
+def maximum_matching_indices(n: int, adj: list[list[int]], mate: list[int] | None = None) -> list[int]:
     """Maximum-cardinality matching on an indexed graph; returns the mate array.
 
-    One search per exposed vertex, in index order. A vertex whose neighbor list
-    equals that of the last root whose search failed is skipped: an augmenting
-    path from it would be one from that root too, and a root with no augmenting
-    path keeps none after later augmentations. Copies of one agent are such twins.
+    Starts from ``mate`` when given (it is not modified), else from the empty
+    matching. One search per exposed vertex, in index order. A vertex whose
+    neighbor list equals that of the last root whose search failed is skipped:
+    an augmenting path from it would be one from that root too, and a root with
+    no augmenting path keeps none after later augmentations. Copies of one agent
+    are such twins.
     """
-    mate = [-1] * n
+    mate = [-1] * n if mate is None else list(mate)
     failed = None
     for v in range(n):
         if mate[v] == -1 and adj[v] != failed:
@@ -166,21 +169,101 @@ def max_matching(inst: Instance) -> frozenset[tuple[str, str]]:
     )
 
 
-def _expanded_mate(expanded: ExpandedInstance):
-    nodes = expanded.copy_nodes
-    index, adj = _indexed(nodes, expanded.edges)
-    mate = maximum_matching_indices(len(nodes), adj)
-    return nodes, index, adj, mate
+def _spare(peaks: Mapping[str, int], z: Mapping[Edge, int]) -> dict[str, int]:
+    spare = dict(peaks)
+    for (u, v), mult in z.items():
+        spare[u] -= mult
+        spare[v] -= mult
+    return spare
+
+
+def _reduced_graph(inst: Instance, peaks: Mapping[str, int], z: Mapping[Edge, int]):
+    """The copy graph of ``z`` that does not grow with the peaks.
+
+    Each agent keeps two copies per edge that ``z`` uses (one if ``z`` uses it
+    once), matched to the other endpoint's copies as ``z`` pairs them, and
+    min(spare, 2) exposed copies. Returns the expansion, its adjacency, the mate
+    array of the kept pairs and the kept multiplicities.
+    """
+    kept = {edge: min(mult, 2) for edge, mult in z.items()}
+    counts = {node: min(spare, 2) for node, spare in _spare(peaks, z).items()}
+    for (u, v), pairs in kept.items():
+        counts[u] += pairs
+        counts[v] += pairs
+    present = {node: count for node, count in counts.items() if count}
+    reduced = Instance(
+        name=inst.name,
+        peaks=present,
+        edges=tuple(e for e in inst.edges if e[0] in present and e[1] in present),
+    )
+    expanded = expand_nodes(reduced)
+    index, adj = _indexed(expanded.copy_nodes, expanded.edges)
+    mate = [-1] * len(adj)
+    position = dict.fromkeys(present, 0)
+    for (u, v), pairs in kept.items():
+        for _ in range(pairs):
+            cu = index[expanded.copies[u][position[u]]]
+            cv = index[expanded.copies[v][position[v]]]
+            position[u] += 1
+            position[v] += 1
+            mate[cu] = cv
+            mate[cv] = cu
+    return expanded, adj, mate, kept
+
+
+def _maximum(inst: Instance):
+    """A maximum b-matching of ``inst`` and the reduced copy graph that proves it.
+
+    Copies of one agent are twins, so a shortest augmenting (or even
+    alternating) path of the full copy graph meets each agent at most once as
+    an outer and at most once as an inner vertex: a repeat can be shortcut. Such
+    a path uses at most two matched pairs per edge and two exposed copies per
+    agent, so it lies in the reduced graph of `_reduced_graph`. Blossom runs on
+    that graph, seeded with z, and every augmentation is folded back into z
+    until a round augments nothing; then z is maximum, and the last graph has
+    exactly the full graph's D set on every agent.
+
+    z starts from the peaks' high bits: the maximum for floor(b / 2^k), doubled
+    and topped up greedily along ``inst.edges``, seeds level k - 1, so each
+    level needs only O(n) augmentations.
+    """
+    if not inst.is_uncapacitated:
+        raise ExpansionError(
+            f"instance {inst.name!r} has finite edge capacities; expansion is unsupported"
+        )
+    z: dict[Edge, int] = {}
+    for shift in reversed(range(max(inst.peaks.values(), default=1).bit_length())):
+        peaks = {node: peak >> shift for node, peak in inst.peaks.items()}
+        doubled = {edge: 2 * mult for edge, mult in z.items()}
+        spare = _spare(peaks, doubled)
+        z = {}
+        for u, v in inst.edges:
+            extra = min(spare[u], spare[v])
+            spare[u] -= extra
+            spare[v] -= extra
+            if mult := doubled.get((u, v), 0) + extra:
+                z[(u, v)] = mult
+        while True:
+            expanded, adj, mate, kept = _reduced_graph(inst, peaks, z)
+            seeded = mate.count(-1)
+            mate = maximum_matching_indices(len(adj), adj, mate)
+            if mate.count(-1) == seeded:
+                break
+            nodes = expanded.copy_nodes
+            found = contract_matching(
+                expanded, [(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v]
+            ).multiplicities
+            z = {
+                edge: mult
+                for edge in inst.edges
+                if (mult := z.get(edge, 0) - kept.get(edge, 0) + found.get(edge, 0))
+            }
+    return BMatching(z), expanded, adj, mate
 
 
 def max_bmatching(inst: Instance) -> BMatching:
-    """Maximum-total-utility b-matching via node expansion and blossom."""
-    expanded = expand_nodes(inst)
-    nodes, _, _, mate = _expanded_mate(expanded)
-    pairs = [
-        (nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v
-    ]
-    return contract_matching(expanded, pairs)
+    """Maximum-total-utility b-matching, by blossom on the reduced copy graph."""
+    return _maximum(inst)[0]
 
 
 @dataclass(frozen=True)
@@ -190,7 +273,8 @@ class GedDecomposition:
 
     ``internal_caps[k]`` is the maximum utility component k can generate
     internally (sum of its peaks minus one) when it has at least two nodes,
-    else None.
+    else None. ``matching`` is the maximum b-matching the classes came from; it
+    takes no part in equality or in the JSON form.
     """
 
     under: frozenset[str]
@@ -198,6 +282,7 @@ class GedDecomposition:
     perfect: frozenset[str]
     odd_components: tuple[tuple[str, ...], ...]
     internal_caps: tuple[int | None, ...]
+    matching: BMatching = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,19 +296,17 @@ class GedDecomposition:
 def ged_decompose(inst: Instance) -> GedDecomposition:
     """Gallai-Edmonds decomposition of an uncapacitated instance with peaks.
 
-    Computed on the unit-peak expansion: the standard D/A/C sets of the copy
-    graph collapse onto whole nodes (copies are interchangeable), mapping
-    D -> V^U, A -> V^O, C -> V^P.
+    The standard D/A/C sets of the unit-peak copy graph collapse onto whole
+    nodes (copies are interchangeable), mapping D -> V^U, A -> V^O, C -> V^P.
+    D is read off the reduced copy graph of a maximum b-matching (see
+    `_maximum`), which has the same D set on every agent.
     """
-    expanded = expand_nodes(inst)
-    nodes, index, adj, mate = _expanded_mate(expanded)
-    avoidable = gallai_edmonds_indices(len(nodes), adj, mate)
-    under: set[str] = set()
-    for i, copy in enumerate(nodes):
-        if i in avoidable:
-            under.add(expanded.parent(copy))
+    matching, expanded, adj, mate = _maximum(inst)
+    nodes = expanded.copy_nodes
+    avoidable = {nodes[i] for i in gallai_edmonds_indices(len(nodes), adj, mate)}
+    under = {expanded.parent(copy) for copy in avoidable}
     for node in under:
-        if any(index[copy] not in avoidable for copy in expanded.copies[node]):
+        if any(copy not in avoidable for copy in expanded.copies[node]):
             raise MatchingError(f"copies of {node!r} disagree on avoidability")
     adjacency = inst.adjacency()
     over = {
@@ -259,6 +342,7 @@ def ged_decompose(inst: Instance) -> GedDecomposition:
         perfect=frozenset(perfect),
         odd_components=tuple(components),
         internal_caps=caps,
+        matching=matching,
     )
 
 

@@ -10,7 +10,17 @@ from fractions import Fraction
 from collections import deque
 from itertools import combinations, permutations, product
 
-from fairmatch import FlowNetwork, Instance, MatchingError, egalitarian_profile
+from fairmatch import (
+    BMatching,
+    FlowNetwork,
+    GedDecomposition,
+    Instance,
+    MatchingError,
+    contract_matching,
+    egalitarian_profile,
+    expand_nodes,
+)
+from fairmatch.matching import _indexed, gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.mechanism import SINK, SOURCE, BipartiteConstruction
 
 
@@ -194,6 +204,15 @@ def random_bipartite_instance(
             return inst, suppliers, demanders
 
 
+def reversed_network(net: FlowNetwork) -> FlowNetwork:
+    """The network with every arc reversed and source/sink swapped."""
+    return FlowNetwork(
+        source=net.sink,
+        sink=net.source,
+        arcs={(v, u): cap for (u, v), cap in net.arcs.items()},
+    )
+
+
 def direct_bipartite_rule(
     inst: Instance, suppliers: list[str], demanders: list[str]
 ) -> dict[str, Fraction]:
@@ -215,7 +234,7 @@ def direct_bipartite_rule(
     values: dict[str, Fraction] = {}
     for side, network, terminal, prefix in (
         (suppliers, net, SOURCE, "s/"),
-        (demanders, net.reversed(), SINK, "d/"),
+        (demanders, reversed_network(net), SINK, "d/"),
     ):
         construction = BipartiteConstruction(
             kind="direct",
@@ -316,6 +335,72 @@ def reference_gallai_edmonds(n: int, adj: list[list[int]], mate: list[int]) -> s
                 raise MatchingError("matching passed to the decomposition is not maximum")
             avoidable.update(i for i in range(n) if outer[i])
     return avoidable
+
+
+def _full_expansion_mate(inst: Instance):
+    expanded = expand_nodes(inst)
+    nodes = expanded.copy_nodes
+    index, adj = _indexed(nodes, expanded.edges)
+    return expanded, nodes, index, adj, maximum_matching_indices(len(nodes), adj)
+
+
+def reference_max_bmatching(inst: Instance) -> BMatching:
+    """Maximum b-matching by blossom on the full unit-peak copy graph, with
+    sum b_u * b_v edges; the reference for ``fairmatch.max_bmatching``."""
+    expanded, nodes, _, _, mate = _full_expansion_mate(inst)
+    pairs = [(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v]
+    return contract_matching(expanded, pairs)
+
+
+def reference_ged_decompose(inst: Instance) -> GedDecomposition:
+    """The Gallai-Edmonds decomposition read off the full unit-peak copy graph;
+    the reference for ``fairmatch.ged_decompose``."""
+    expanded, nodes, index, adj, mate = _full_expansion_mate(inst)
+    avoidable = gallai_edmonds_indices(len(nodes), adj, mate)
+    under: set[str] = set()
+    for i, copy in enumerate(nodes):
+        if i in avoidable:
+            under.add(expanded.parent(copy))
+    for node in under:
+        if any(index[copy] not in avoidable for copy in expanded.copies[node]):
+            raise MatchingError(f"copies of {node!r} disagree on avoidability")
+    adjacency = inst.adjacency()
+    over = {
+        node
+        for node in inst.peaks
+        if node not in under and any(nbr in under for nbr in adjacency[node])
+    }
+    perfect = set(inst.peaks) - under - over
+
+    components: list[tuple[str, ...]] = []
+    seen: set[str] = set()
+    for start in sorted(under):
+        if start in seen:
+            continue
+        stack = [start]
+        component: set[str] = set()
+        while stack:
+            node = stack.pop()
+            if node in component:
+                continue
+            component.add(node)
+            stack.extend(nbr for nbr in adjacency[node] if nbr in under and nbr not in component)
+        seen |= component
+        components.append(tuple(sorted(component)))
+    components.sort(key=lambda comp: comp[0])
+    caps = tuple(
+        sum(inst.peaks[node] for node in comp) - 1 if len(comp) >= 2 else None
+        for comp in components
+    )
+    pairs = [(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v]
+    return GedDecomposition(
+        under=frozenset(under),
+        over=frozenset(over),
+        perfect=frozenset(perfect),
+        odd_components=tuple(components),
+        internal_caps=caps,
+        matching=contract_matching(expanded, pairs),
+    )
 
 
 def instance_automorphisms(inst: Instance) -> list[dict[str, str]]:

@@ -160,6 +160,44 @@ def test_deeply_nested_file_is_validation_error(tmp_path):
     assert run_cli("ged", str(bad)) == 1
 
 
+def test_integer_over_the_digit_limit_is_validation_error(capsys, tmp_path):
+    bad = tmp_path / "huge.json"
+    digits = sys.get_int_max_str_digits() + 1
+    bad.write_text('{"nodes": [{"id": "a", "peak": 1' + "0" * (digits - 1) + "}]}")
+    assert run_cli("ged", str(bad)) == 1
+    assert f"more than {digits - 1} digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["ged"], ["solve", "--model", "indivisible"], ["lottery"], ["verify"]]
+)
+def test_triangle_with_peaks_of_ten_to_the_twelve(capsys, tmp_path, argv):
+    # the b-matching core does not grow with the peaks
+    peak = 10**12
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "big",
+                "nodes": [{"id": node, "peak": peak} for node in "abc"],
+                "edges": [{"u": "a", "v": "b"}, {"u": "b", "v": "c"}, {"u": "a", "v": "c"}],
+            }
+        )
+    )
+    status, out = run_cli_capture(capsys, *argv, str(path))
+    assert status == 0
+    payload = json.loads(out)
+    if argv[0] == "ged":
+        assert payload["perfect"] == ["a", "b", "c"]
+    elif argv[0] == "verify":
+        assert payload["passed"] is True
+        details = {check["name"]: check["detail"] for check in payload["checks"]}
+        total = 3 * peak
+        assert details["indivisible-efficiency"] == f"profile {total}, flow {total}, b-matching {total}"
+    else:
+        assert payload["profile"] == {node: f"{peak}/1" for node in "abc"}
+
+
 def test_capacitated_indivisible_is_validation_error(tmp_path):
     capped = tmp_path / "capped.json"
     capped.write_text(

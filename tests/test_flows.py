@@ -14,9 +14,21 @@ from fairmatch import (
     maximal_min_cut,
     min_cut,
 )
-from fairmatch.flows import Flow, cut_capacity, is_maximum
+from fairmatch.flows import Flow, is_maximum
 
-from helpers import diamond_instance, hub15_instance
+from helpers import diamond_instance, hub15_instance, reversed_network
+
+
+def cut_capacity(net: FlowNetwork, side) -> Fraction:
+    """Total capacity of arcs leaving ``side``; raises if an unbounded arc crosses."""
+    inside = set(side)
+    total = Fraction(0)
+    for (u, v), cap in net.arcs.items():
+        if u in inside and v not in inside:
+            if cap is None:
+                raise FlowError(f"unbounded arc {(u, v)!r} crosses the cut")
+            total += cap
+    return total
 
 
 def simple_net(arcs):
@@ -209,7 +221,7 @@ def test_decompose_random_fractional_max_flows(seed):
         {arc: (None if cap is None else Fraction(int(cap))) for arc, cap in net.arcs.items()}
     )
     base = max_flow(integral_net)
-    reroute = max_flow(integral_net.reversed())
+    reroute = max_flow(reversed_network(integral_net))
     mirrored = {
         arc: reroute.values.get((arc[1], arc[0]), Fraction(0)) for arc in integral_net.arcs
     }

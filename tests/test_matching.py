@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from fairmatch import (
+    BMatching,
     Instance,
     MatchingError,
     expand_nodes,
@@ -23,6 +24,8 @@ from helpers import (
     peaked_instances_up_to_iso,
     random_connected_instance,
     reference_gallai_edmonds,
+    reference_ged_decompose,
+    reference_max_bmatching,
     reference_maximum_matching,
     triangle,
 )
@@ -81,6 +84,48 @@ def test_engine_matches_reference_on_copy_graphs():
         expanded = expand_nodes(inst)
         _, adj = _indexed(expanded.copy_nodes, expanded.edges)
         _assert_engine_matches_reference(len(adj), adj)
+
+
+def _random_peaked_instance(rng):
+    n = rng.randint(1, 9)
+    density = rng.choice((0.2, 0.4, 0.7))
+    return Instance.build(
+        "random",
+        [(f"v{i}", rng.randint(1, 15)) for i in range(n)],
+        [(f"v{u}", f"v{v}") for u, v in combinations(range(n), 2) if rng.random() < density],
+    )
+
+
+def _reference_realizable(inst, targets):
+    positive = [node for node in inst.nodes if targets[node] > 0]
+    shrunk = inst.induced(positive).replace(peaks={node: targets[node] for node in positive})
+    return reference_max_bmatching(shrunk).total_utility == sum(targets.values())
+
+
+def test_reduced_expansion_matches_full_expansion():
+    # the reduced copy graph against the peak-sized one, on the same blossom engine
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        inst = _random_peaked_instance(rng)
+        ged = ged_decompose(inst)
+        reference = reference_ged_decompose(inst)
+        assert ged == reference
+        assert ged.matching.total_utility == reference.matching.total_utility
+        matched = max_bmatching(inst)
+        matched.check_feasible(inst)
+        assert matched.total_utility == reference.matching.total_utility
+        if rng.random() < 0.5:
+            # realizable: the degrees of a sub-b-matching of the reference's
+            targets = BMatching(
+                {edge: rng.randint(0, mult) for edge, mult in reference.matching.multiplicities.items()}
+            ).utilities(inst)
+        else:
+            targets = {node: rng.randint(0, peak) for node, peak in inst.peaks.items()}
+        realized = realize_targets(inst, targets)
+        assert (realized is not None) == _reference_realizable(inst, targets)
+        if realized is not None:
+            realized.check_feasible(inst)
+            assert realized.utilities(inst) == targets
 
 
 def test_decomposition_rejects_empty_matching_on_an_edge():

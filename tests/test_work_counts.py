@@ -1,5 +1,6 @@
 """Upper bounds on the flow and matching work the mechanism and its reference
-do on hub15, on a path with many distinct peaks and on a star with large peaks.
+do on hub15, on a path with many distinct peaks, on a star with large peaks and
+on triangles whose peaks differ by a factor of 20,000.
 
 Counts go through every binding of a function (``fairmatch.flows`` and the
 modules that import it), so a repeated solve fails here without any timing.
@@ -23,7 +24,7 @@ from fairmatch import (
     mechanism,
 )
 
-from helpers import path_instance
+from helpers import path_instance, triangle
 
 
 @pytest.fixture
@@ -88,21 +89,28 @@ def test_manipulation_builds_no_lottery(hub15, calls):
 
 @pytest.fixture
 def searches(monkeypatch):
-    counts = {"blossom": 0}
+    counts = {"blossom": 0, "copy_edges": 0}
     original = matching._blossom_search
+    original_expand = matching.expand_nodes
 
     def counted(*args):
         counts["blossom"] += 1
         return original(*args)
 
+    def counted_expand(inst):
+        expanded = original_expand(inst)
+        counts["copy_edges"] += len(expanded.edges)
+        return expanded
+
     monkeypatch.setattr(matching, "_blossom_search", counted)
+    monkeypatch.setattr(matching, "expand_nodes", counted_expand)
     return counts
 
 
 def test_ged_searches_hub15(hub15, searches):
     # twins of a failed root are skipped, and the decomposition is one forest
     ged_decompose(hub15)
-    assert searches["blossom"] <= 20
+    assert searches["blossom"] <= 14
 
 
 def test_ged_searches_star_with_large_peaks(searches):
@@ -112,4 +120,27 @@ def test_ged_searches_star_with_large_peaks(searches):
         [("c", "x"), ("c", "y"), ("c", "z"), ("x", "z")],
     )
     ged_decompose(inst)
-    assert searches["blossom"] <= 20
+    assert searches["blossom"] <= 9
+
+
+@pytest.mark.parametrize("peak", [50, 10**6])
+@pytest.mark.parametrize(
+    "run, max_copy_edges, max_searches",
+    [(ged_decompose, 1400, 16), (indivisible_outcome, 2800, 30)],
+)
+def test_bmatching_work_does_not_grow_with_peaks(searches, peak, run, max_copy_edges, max_searches):
+    # the full copy graph of peaks 50, 50, 51 has 7,600 edges. The reduced one
+    # keeps two matched pairs per edge and two spare copies per node, and is
+    # built once per round on each bit level of the peaks (20 levels for 10^6)
+    run(triangle((peak, peak, peak + 1)))
+    assert searches["copy_edges"] <= max_copy_edges
+    assert searches["blossom"] <= max_searches
+
+
+def test_verify_searches_no_more_than_the_outcome(hub15, hub15_file, searches, capsys):
+    # verify reads the decomposition's maximum b-matching instead of a second blossom run
+    indivisible_outcome(hub15)
+    outcome_searches = searches["blossom"]
+    searches["blossom"] = 0
+    assert cli.main(["verify", hub15_file]) == 0
+    assert searches["blossom"] <= outcome_searches
