@@ -16,6 +16,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -134,7 +136,8 @@ class Instance:
             raise InstanceError(f"unknown nodes {sorted(unknown)!r}")
         peaks = {node: peak for node, peak in self.peaks.items() if node in keep}
         edges = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
-        caps = {e: c for e, c in self.capacities.items() if e in set(edges)}
+        kept = set(edges)
+        caps = {e: c for e, c in self.capacities.items() if e in kept}
         return Instance(name=name or f"{self.name}[induced]", peaks=peaks, edges=edges, capacities=caps)
 
     def replace(
@@ -230,19 +233,40 @@ def load_instance(path: str) -> Instance:
 
 @dataclass(frozen=True)
 class ExpandedInstance:
-    """Unit-peak expansion: node ``i`` becomes copies ``i#1 .. i#b_i``.
+    """Unit-peak expansion: node ``i`` becomes ``b_i`` copies, numbered by integers.
+
+    Copies are consecutive and in node order: ``indices[i]`` is the range of
+    node ``i``'s copies, ``owner[c]`` the node of copy ``c``, and ``adj[c]`` the
+    sorted copies adjacent to ``c`` (copies of one node share one list; they are
+    never adjacent). The string view, copy ``c`` of node ``i`` named
+    ``i#(c - indices[i].start + 1)``, is built on first use.
 
     Matchings of the expansion are in bijection with b-matchings of ``base``
-    under :func:`contract_matching`; copies of one node are never adjacent.
+    under :func:`contract_matching`.
     """
 
     base: Instance
-    copies: dict[str, tuple[str, ...]]
-    edges: tuple[Edge, ...]
+    indices: dict[str, range]
+    owner: list[str] = field(repr=False)
+    adj: list[list[int]] = field(repr=False)
 
-    @property
+    @cached_property
+    def copies(self) -> dict[str, tuple[str, ...]]:
+        return {
+            node: tuple(f"{node}#{k}" for k in range(1, len(span) + 1))
+            for node, span in self.indices.items()
+        }
+
+    @cached_property
     def copy_nodes(self) -> tuple[str, ...]:
         return tuple(copy for group in self.copies.values() for copy in group)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        copies = self.copies
+        return tuple(
+            canonical_edge(cu, cv) for u, v in self.base.edges for cu in copies[u] for cv in copies[v]
+        )
 
     def parent(self, copy: str) -> str:
         node, _, index = copy.rpartition("#")
@@ -264,13 +288,23 @@ def expand_nodes(inst: Instance) -> ExpandedInstance:
         raise ExpansionError(
             f"instance {inst.name!r} has finite edge capacities; expansion is unsupported"
         )
-    copies = {node: tuple(f"{node}#{k}" for k in range(1, peak + 1)) for node, peak in inst.peaks.items()}
-    edges: list[Edge] = []
+    indices: dict[str, range] = {}
+    owner: list[str] = []
+    for node, peak in inst.peaks.items():
+        indices[node] = range(len(owner), len(owner) + peak)
+        owner += [node] * peak
+    nbrs: dict[str, list[range]] = {node: [] for node in indices}
     for u, v in inst.edges:
-        for cu in copies[u]:
-            for cv in copies[v]:
-                edges.append(canonical_edge(cu, cv))
-    return ExpandedInstance(base=inst, copies=copies, edges=tuple(edges))
+        nbrs[u].append(indices[v])
+        nbrs[v].append(indices[u])
+    adj: list[list[int]] = []
+    for node, span in indices.items():
+        nbrs[node].sort(key=attrgetter("start"))
+        row: list[int] = []
+        for other in nbrs[node]:
+            row += other
+        adj += [row] * len(span)
+    return ExpandedInstance(base=inst, indices=indices, owner=owner, adj=adj)
 
 
 @dataclass(frozen=True)

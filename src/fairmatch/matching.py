@@ -10,10 +10,10 @@ from typing import Iterable, Mapping
 from .instance import (
     BMatching,
     Edge,
+    ExpandedInstance,
     ExpansionError,
     Instance,
     canonical_edge,
-    contract_matching,
     expand_nodes,
 )
 
@@ -182,8 +182,8 @@ def _reduced_graph(inst: Instance, peaks: Mapping[str, int], z: Mapping[Edge, in
 
     Each agent keeps two copies per edge that ``z`` uses (one if ``z`` uses it
     once), matched to the other endpoint's copies as ``z`` pairs them, and
-    min(spare, 2) exposed copies. Returns the expansion, its adjacency, the mate
-    array of the kept pairs and the kept multiplicities.
+    min(spare, 2) exposed copies. Returns the expansion, the mate array of the
+    kept pairs and the kept multiplicities.
     """
     kept = {edge: min(mult, 2) for edge, mult in z.items()}
     counts = {node: min(spare, 2) for node, spare in _spare(peaks, z).items()}
@@ -197,22 +197,40 @@ def _reduced_graph(inst: Instance, peaks: Mapping[str, int], z: Mapping[Edge, in
         edges=tuple(e for e in inst.edges if e[0] in present and e[1] in present),
     )
     expanded = expand_nodes(reduced)
-    index, adj = _indexed(expanded.copy_nodes, expanded.edges)
-    mate = [-1] * len(adj)
-    position = dict.fromkeys(present, 0)
+    mate = [-1] * len(expanded.owner)
+    free = {node: span.start for node, span in expanded.indices.items()}
     for (u, v), pairs in kept.items():
         for _ in range(pairs):
-            cu = index[expanded.copies[u][position[u]]]
-            cv = index[expanded.copies[v][position[v]]]
-            position[u] += 1
-            position[v] += 1
+            cu, cv = free[u], free[v]
+            free[u] += 1
+            free[v] += 1
             mate[cu] = cv
             mate[cv] = cu
-    return expanded, adj, mate, kept
+    return expanded, mate, kept
+
+
+def _contract(expanded: ExpandedInstance, mate: list[int], edges: set[Edge]) -> dict[Edge, int]:
+    """Edge multiplicities of the matching ``mate`` of the copy graph ``expanded``;
+    every matched pair must join two agents adjacent by one of ``edges``."""
+    owner = expanded.owner
+    found: dict[Edge, int] = {}
+    for v, w in enumerate(mate):
+        if w == -1:
+            continue
+        if mate[w] != v:
+            raise MatchingError(f"mate array is not symmetric at copies {v} and {w}")
+        if v < w:
+            a, b = owner[v], owner[w]
+            edge = (a, b) if a < b else (b, a)
+            if edge not in edges:
+                raise MatchingError(f"copies {v} and {w} are matched across non-edge {edge!r}")
+            found[edge] = found.get(edge, 0) + 1
+    return found
 
 
 def _maximum(inst: Instance):
-    """A maximum b-matching of ``inst`` and the reduced copy graph that proves it.
+    """A maximum b-matching of ``inst``, the reduced copy graph that proves it
+    and that graph's maximum matching.
 
     Copies of one agent are twins, so a shortest augmenting (or even
     alternating) path of the full copy graph meets each agent at most once as
@@ -231,6 +249,7 @@ def _maximum(inst: Instance):
         raise ExpansionError(
             f"instance {inst.name!r} has finite edge capacities; expansion is unsupported"
         )
+    edge_set = set(inst.edges)
     z: dict[Edge, int] = {}
     for shift in reversed(range(max(inst.peaks.values(), default=1).bit_length())):
         peaks = {node: peak >> shift for node, peak in inst.peaks.items()}
@@ -244,21 +263,18 @@ def _maximum(inst: Instance):
             if mult := doubled.get((u, v), 0) + extra:
                 z[(u, v)] = mult
         while True:
-            expanded, adj, mate, kept = _reduced_graph(inst, peaks, z)
+            expanded, mate, kept = _reduced_graph(inst, peaks, z)
             seeded = mate.count(-1)
-            mate = maximum_matching_indices(len(adj), adj, mate)
+            mate = maximum_matching_indices(len(mate), expanded.adj, mate)
             if mate.count(-1) == seeded:
                 break
-            nodes = expanded.copy_nodes
-            found = contract_matching(
-                expanded, [(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v]
-            ).multiplicities
+            found = _contract(expanded, mate, edge_set)
             z = {
                 edge: mult
                 for edge in inst.edges
                 if (mult := z.get(edge, 0) - kept.get(edge, 0) + found.get(edge, 0))
             }
-    return BMatching(z), expanded, adj, mate
+    return BMatching(z), expanded, mate
 
 
 def max_bmatching(inst: Instance) -> BMatching:
@@ -301,12 +317,11 @@ def ged_decompose(inst: Instance) -> GedDecomposition:
     D is read off the reduced copy graph of a maximum b-matching (see
     `_maximum`), which has the same D set on every agent.
     """
-    matching, expanded, adj, mate = _maximum(inst)
-    nodes = expanded.copy_nodes
-    avoidable = {nodes[i] for i in gallai_edmonds_indices(len(nodes), adj, mate)}
-    under = {expanded.parent(copy) for copy in avoidable}
+    matching, expanded, mate = _maximum(inst)
+    avoidable = gallai_edmonds_indices(len(mate), expanded.adj, mate)
+    under = {expanded.owner[i] for i in avoidable}
     for node in under:
-        if any(copy not in avoidable for copy in expanded.copies[node]):
+        if any(i not in avoidable for i in expanded.indices[node]):
             raise MatchingError(f"copies of {node!r} disagree on avoidability")
     adjacency = inst.adjacency()
     over = {

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairmatch import cli
+from fairmatch import cli, matching
 
 from helpers import hub15_json
 
@@ -132,6 +132,30 @@ def test_verify_reports_failure_with_exit_2(capsys, triangle_file, monkeypatch):
         lambda inst, oracle: [{"name": "rigged", "status": "fail", "detail": ""}],
     )
     assert run_cli("verify", triangle_file) == 2
+
+
+def test_matching_error_is_internal_inconsistency(capsys, hub15_file, monkeypatch):
+    # a blossom that never augments leaves the greedy start, which is not maximum on hub15
+    monkeypatch.setattr(
+        matching, "maximum_matching_indices", lambda n, adj, mate=None: list(mate or [-1] * n)
+    )
+    assert run_cli("ged", hub15_file) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal inconsistency: matching passed to the decomposition is not maximum\n"
+
+
+def test_verify_divisible_efficiency_reads_the_fill_flow(capsys, hub15_file, monkeypatch):
+    # the check proves the profile's own flow maximum instead of solving the doubled network
+    monkeypatch.setattr(cli, "max_flow", None)
+    status, out = run_cli_capture(capsys, "verify", hub15_file)
+    assert status == 0
+    check = json.loads(out)["checks"][0]
+    assert check == {
+        "name": "divisible-efficiency",
+        "status": "pass",
+        "detail": "profile total 35 vs doubled max flow 35",
+    }
 
 
 def test_verify_oracle_oversize_is_validation_error(capsys, hub15_file):

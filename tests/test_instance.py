@@ -1,5 +1,7 @@
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +17,7 @@ from fairmatch import (
     format_rational,
     parse_instance,
 )
+from fairmatch.matching import _indexed
 from fairmatch.oracle import enumerate_bmatchings
 
 from helpers import hub15_json, peaked_instances_up_to_iso, triangle
@@ -104,6 +107,34 @@ def test_expand_hub15_copy_count_is_peak_sum(hub15):
         assert len(copies) == hub15.peaks[node]
 
 
+def _eager_expansion(inst):
+    # the string expansion built eagerly from names: the reference for the lazy view
+    copies = {node: tuple(f"{node}#{k}" for k in range(1, peak + 1)) for node, peak in inst.peaks.items()}
+    edges = tuple(
+        canonical_edge(cu, cv) for u, v in inst.edges for cu in copies[u] for cv in copies[v]
+    )
+    return copies, edges
+
+
+def test_integer_expansion_matches_its_string_view():
+    # labels whose sort order differs from the node order, edges in no order,
+    # and peaks above 9, so that "n7#10" sorts before "n7#2"
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        labels = rng.sample(range(100), n)
+        density = rng.choice((0.2, 0.4, 0.7))
+        edges = [(f"n{u}", f"n{v}") for u, v in combinations(labels, 2) if rng.random() < density]
+        rng.shuffle(edges)
+        inst = Instance.build("random", [(f"n{label}", rng.randint(1, 15)) for label in labels], edges)
+        expanded = expand_nodes(inst)
+        assert expanded.adj == _indexed(expanded.copy_nodes, expanded.edges)[1]
+        assert (expanded.copies, expanded.edges) == _eager_expansion(inst)
+        assert list(map(expanded.parent, expanded.copy_nodes)) == expanded.owner
+        for node, span in expanded.indices.items():
+            assert [expanded.copy_nodes[c] for c in span] == list(expanded.copies[node])
+
+
 def test_expand_rejects_capacitated():
     inst = Instance.build("c", [("a", 1), ("b", 1)], [("a", "b", 1)])
     with pytest.raises(ExpansionError):
@@ -179,6 +210,14 @@ def test_induced_subinstance(hub15):
     sub = hub15.induced(["s1", "s2", "s3"])
     assert set(sub.nodes) == {"s1", "s2", "s3"}
     assert set(sub.edges) == {("s1", "s2"), ("s2", "s3"), ("s1", "s3")}
+    capped = Instance.build(
+        "caps",
+        [("a", 2), ("b", 3), ("c", 1), ("d", 2)],
+        [("a", "b", 2), ("b", "c", 1), ("c", "d", 1), ("a", "d")],
+    )
+    kept = capped.induced(["a", "b", "d"])
+    assert kept.edges == (("a", "b"), ("a", "d"))
+    assert kept.capacities == {("a", "b"): 2}
 
 
 def test_replace_hide_and_add_edges(path7):

@@ -13,7 +13,7 @@ from fairmatch import (
     max_matching,
     realize_targets,
 )
-from fairmatch.matching import _indexed, gallai_edmonds_indices, maximum_matching_indices
+from fairmatch.matching import _contract, _indexed, gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.oracle import enumerate_bmatchings, pareto_profiles
 
 from helpers import (
@@ -138,6 +138,26 @@ def test_decomposition_rejects_trees_that_meet():
     adj = [[1], [0, 2], [1, 3], [2]]
     with pytest.raises(MatchingError, match="not maximum"):
         gallai_edmonds_indices(4, adj, [-1, 2, 1, -1])
+
+
+def test_fold_rejects_broken_mate_arrays():
+    # copies: a -> 0, b -> 1 and 2, c -> 3
+    inst = Instance.build("p", [("a", 1), ("b", 2), ("c", 1)], [("a", "b"), ("b", "c")])
+    expanded, edges = expand_nodes(inst), set(inst.edges)
+    assert _contract(expanded, [1, 0, 3, 2], edges) == {("a", "b"): 1, ("b", "c"): 1}
+    with pytest.raises(MatchingError, match="not symmetric"):
+        _contract(expanded, [1, -1, -1, -1], edges)
+    with pytest.raises(MatchingError, match="non-edge"):
+        _contract(expanded, [3, -1, -1, 0], edges)
+    with pytest.raises(MatchingError, match="non-edge"):
+        _contract(expanded, [-1, 2, 1, -1], edges)
+
+
+def test_decomposition_rejects_copies_that_disagree(monkeypatch):
+    # a keeps one matched and one exposed copy, 0 and 1; only the first is reported avoidable
+    monkeypatch.setattr("fairmatch.matching.gallai_edmonds_indices", lambda n, adj, mate: {0})
+    with pytest.raises(MatchingError, match="copies of 'a' disagree"):
+        ged_decompose(Instance.build("e", [("a", 2), ("b", 1)], [("a", "b")]))
 
 
 def test_max_matching_triangle_size_one(tri):

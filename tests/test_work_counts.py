@@ -53,7 +53,7 @@ def test_egalitarian_profile_solves_hub15(hub15, calls):
 def test_verify_decomposes_hub15_once(hub15_file, calls, capsys):
     assert cli.main(["verify", hub15_file]) == 0
     assert calls["decompose_max_flow"] == 1
-    assert calls["max_flow"] <= 20
+    assert calls["max_flow"] <= 19
 
 
 def test_egalitarian_profile_solves_distinct_peaks_path(calls):
