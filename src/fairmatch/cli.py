@@ -2,7 +2,8 @@
 
 All output is JSON (stdout by default); rationals are serialized as exact
 ``p/q`` strings in lowest terms. Exit status: 0 success, 1 validation error,
-2 verification failure.
+2 verification failure or an internal inconsistency (a ``MechanismError`` or
+``MatchingError``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .mechanism import (
     MechanismError,
     build_divisible,
     egalitarian_divisible,
-    egalitarian_flow,
     egalitarian_lp,
     indivisible_outcome,
     sample_lottery,
@@ -95,7 +95,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         lines = _profile_lines("egalitarian profile (divisible)", profile)
         if args.dump_flow:
-            payload["flow"] = egalitarian_flow(build_divisible(inst), profile).to_json()
+            payload["flow"] = profile.flow.to_json()
     else:
         outcome = indivisible_outcome(inst)
         payload = {
@@ -144,7 +144,7 @@ def _verify_checks(inst: Instance, with_oracle: bool) -> list[dict]:
         checks.append({"name": name, "status": "pass" if passed else "fail", "detail": detail})
 
     profile, exchange = egalitarian_divisible(inst)
-    # the fill's own flow: maximum on the unpinned doubled network, and it ships the profile
+    # the flow with both margins pinned: maximum on the unpinned doubled network
     flow = profile.flow
     record(
         "divisible-efficiency",
@@ -170,7 +170,11 @@ def _verify_checks(inst: Instance, with_oracle: bool) -> list[dict]:
         )
         lp = egalitarian_lp(outcome.construction)
         record("method-agreement", lp.values == outcome.profile.values)
-        record("lottery-expectation", lottery.expected.values == outcome.profile.values)
+        expected = {agent: Fraction(0) for agent in inst.nodes}
+        for matching, p in lottery.entries:
+            for agent, units in matching.utilities(inst).items():
+                expected[agent] += p * units
+        record("lottery-expectation", expected == outcome.profile.values)
         record(
             "lottery-members-maximum",
             all(m.total_utility == matched for m, _ in lottery.entries),

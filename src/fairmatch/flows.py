@@ -87,9 +87,6 @@ class Flow:
     def on(self, u: str, v: str) -> Fraction:
         return self.values.get((u, v), Fraction(0))
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.values.values())
-
     def to_json(self) -> list[dict]:
         return [
             {"from": u, "to": v, "amount": f"{x.numerator}/{x.denominator}"}

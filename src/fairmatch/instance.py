@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .flows import Flow
+    from .mechanism import Breakpoint
 
 
 class InstanceError(ValueError):
@@ -241,8 +242,9 @@ class ExpandedInstance:
     never adjacent). The string view, copy ``c`` of node ``i`` named
     ``i#(c - indices[i].start + 1)``, is built on first use.
 
-    Matchings of the expansion are in bijection with b-matchings of ``base``
-    under :func:`contract_matching`.
+    Contracting every copy to its node maps the matchings of the expansion
+    onto the b-matchings of ``base``. The map is not a bijection: copies of a
+    node are interchangeable, so many matchings contract to one b-matching.
     """
 
     base: Instance
@@ -267,19 +269,6 @@ class ExpandedInstance:
         return tuple(
             canonical_edge(cu, cv) for u, v in self.base.edges for cu in copies[u] for cv in copies[v]
         )
-
-    def parent(self, copy: str) -> str:
-        node, _, index = copy.rpartition("#")
-        if not node or node not in self.base.peaks or not index.isdigit():
-            raise InstanceError(f"{copy!r} is not a copy node of this expansion")
-        return node
-
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, list[str]] = {copy: [] for copy in self.copy_nodes}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return {copy: tuple(sorted(out)) for copy, out in nbrs.items()}
 
 
 def expand_nodes(inst: Instance) -> ExpandedInstance:
@@ -353,34 +342,18 @@ class BMatching:
         ]
 
 
-def contract_matching(expanded: ExpandedInstance, matching: Iterable[Edge]) -> BMatching:
-    """Shrink a matching of the copy graph back to a b-matching of the base instance."""
-    pairs = [canonical_edge(u, v) for u, v in matching]
-    edge_set = set(expanded.edges)
-    touched: set[str] = set()
-    mults: dict[Edge, int] = {}
-    for cu, cv in pairs:
-        if (cu, cv) not in edge_set:
-            raise InstanceError(f"({cu!r}, {cv!r}) is not an edge of the expansion")
-        if cu in touched or cv in touched:
-            raise InstanceError(f"copy node matched twice in ({cu!r}, {cv!r})")
-        touched.update((cu, cv))
-        edge = canonical_edge(expanded.parent(cu), expanded.parent(cv))
-        mults[edge] = mults.get(edge, 0) + 1
-    return BMatching(mults)
-
-
 @dataclass(frozen=True)
 class UtilityProfile:
     """Exact per-agent utilities; values are nonnegative rationals.
 
-    A profile made by the water-fill carries its ``flow``: a maximum flow of the
-    construction with every supply arc pinned to the agent's value. It takes no
-    part in equality.
+    A profile made by the water-fill carries its ``flow``, a maximum flow of the
+    construction with every supply arc pinned to the agent's value, and its
+    ``breakpoints``, the fill's events in order. Neither takes part in equality.
     """
 
     values: dict[str, Fraction]
     flow: Flow | None = field(default=None, compare=False, repr=False)
+    breakpoints: tuple[Breakpoint, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         coerced = {node: Fraction(x) for node, x in self.values.items()}

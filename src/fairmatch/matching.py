@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .instance import (
     BMatching,
@@ -13,7 +13,6 @@ from .instance import (
     ExpandedInstance,
     ExpansionError,
     Instance,
-    canonical_edge,
     expand_nodes,
 )
 
@@ -144,29 +143,6 @@ def gallai_edmonds_indices(n: int, adj: list[list[int]], mate: list[int]) -> set
     if endpoint != -1:
         raise MatchingError("matching passed to the decomposition is not maximum")
     return {i for i in range(n) if outer[i]}
-
-
-def _indexed(nodes: tuple[str, ...], edges: Iterable[tuple[str, str]]):
-    index = {node: i for i, node in enumerate(nodes)}
-    adj: list[list[int]] = [[] for _ in nodes]
-    for u, v in edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    for out in adj:
-        out.sort()
-    return index, adj
-
-
-def max_matching(inst: Instance) -> frozenset[tuple[str, str]]:
-    """Maximum-cardinality matching of a unit-peak instance."""
-    if any(peak != 1 for peak in inst.peaks.values()):
-        raise MatchingError("max_matching requires unit peaks; use max_bmatching instead")
-    nodes = inst.nodes
-    _, adj = _indexed(nodes, inst.edges)
-    mate = maximum_matching_indices(len(nodes), adj)
-    return frozenset(
-        canonical_edge(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v
-    )
 
 
 def _spare(peaks: Mapping[str, int], z: Mapping[Edge, int]) -> dict[str, int]:
@@ -382,16 +358,13 @@ def realize_targets(inst: Instance, targets: Mapping[str, int]) -> BMatching | N
     if total % 2:
         return None
 
-    positive = [node for node in inst.nodes if targets[node] > 0]
-    trimmed = inst.induced(positive, name=f"{inst.name}[targets]")
     shrunk = Instance(
-        name=trimmed.name,
-        peaks={node: targets[node] for node in trimmed.peaks},
-        edges=trimmed.edges,
+        name=f"{inst.name}[targets]",
+        peaks={node: targets[node] for node in inst.peaks if targets[node]},
+        edges=tuple((u, v) for u, v in inst.edges if targets[u] and targets[v]),
     )
     matched = max_bmatching(shrunk)
     if matched.total_utility != total:
         return None
-    result = BMatching(dict(matched.multiplicities))
-    result.check_feasible(inst)
-    return result
+    matched.check_feasible(inst)
+    return matched

@@ -5,7 +5,7 @@ b-matchings realizing the indivisible solution."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor, lcm
 from typing import Iterable, Mapping
@@ -258,19 +258,20 @@ class Breakpoint:
     image: frozenset[str]
 
 
-def _water_fill(
-    construction: BipartiteConstruction,
-) -> tuple[dict[str, Fraction], tuple[Breakpoint, ...], Flow]:
-    """Parametric egalitarian rule on the supply side: raise a common cap, freeze
-    the maximal bottleneck group at each breakpoint, recurse on the rest.
+def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
+    """Water-filling egalitarian profile for the A-side agents of a construction:
+    raise a common cap, freeze the maximal bottleneck group at each breakpoint,
+    recurse on the rest.
 
     Each breakpoint is found by discrete Newton from the largest active peak down,
     every active agent capped at ``min(lam, peak)``. The caps grow with ``lam``, so
     the minimum cuts are nested (Gallo, Grigoriadis & Tarjan): every probe stays at
     or above the breakpoint and no cut is used twice.
 
-    Returns the frozen values, the breakpoints, and the last probe's flow: a
-    maximum flow of the network with every supply arc pinned to its value.
+    The profile carries the breakpoints (type-2 bottleneck freezes in order, then
+    the terminal type-1 peaks event when some agents never bottleneck) and the
+    last probe's flow: a maximum flow of the network with every supply arc
+    pinned to its value.
     """
     net = construction.network
     supply_arcs = construction.supply_arcs
@@ -328,20 +329,7 @@ def _water_fill(
         capped.arcs[arc] != frozen[agent] for agent, arc in supply_arcs.items()
     ):
         raise MechanismError("frozen egalitarian profile is not fully shippable")
-    return frozen, tuple(trace), flow
-
-
-def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
-    """Water-filling egalitarian profile for the A-side agents of a construction,
-    carrying the fill's last flow."""
-    values, _, flow = _water_fill(construction)
-    return UtilityProfile(values, flow=flow)
-
-
-def water_filling_breakpoints(construction: BipartiteConstruction) -> tuple[Breakpoint, ...]:
-    """The rule's breakpoint trace: type-2 bottleneck freezes in order, then the
-    terminal type-1 peaks event when some agents never bottleneck."""
-    return _water_fill(construction)[1]
+    return UtilityProfile(frozen, flow=flow, breakpoints=tuple(trace))
 
 
 def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:
@@ -393,10 +381,12 @@ def egalitarian_flow(construction: BipartiteConstruction, profile: UtilityProfil
 def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[str, str], Fraction]]:
     """Egalitarian profile for divisible goods plus a symmetric edge exchange
     realizing it: f_ij = (g(a_i, b_j) + g(a_j, b_i)) / 2 with both flow margins
-    pinned to the profile."""
+    pinned to the profile. The profile carries that pinned flow and the fill's
+    breakpoints."""
     construction = build_divisible(inst)
-    profile = egalitarian_profile(construction)
-    flow = egalitarian_flow(construction, profile)
+    filled = egalitarian_profile(construction)
+    flow = egalitarian_flow(construction, filled)
+    profile = replace(filled, flow=flow)
     exchange: dict[tuple[str, str], Fraction] = {}
     for u, v in inst.edges:
         amount = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
@@ -456,10 +446,11 @@ def _matching_from_member(
     inst: Instance,
     construction: BipartiteConstruction,
     perfect_part: BMatching | None,
+    components: list[tuple[int, tuple[str, ...], Instance]],
     member: Flow,
 ) -> BMatching:
-    ged = construction.ged
-    assert ged is not None
+    """The b-matching of one integral member; ``components`` lists each
+    multi-node odd component's index, nodes and induced instance."""
     multiplicities: dict[tuple[str, str], int] = {}
     if perfect_part is not None:
         multiplicities.update(perfect_part.multiplicities)
@@ -471,16 +462,14 @@ def _matching_from_member(
             if amount:
                 edge = tag[1]
                 multiplicities[edge] = multiplicities.get(edge, 0) + int(amount)
-    for index, component in enumerate(ged.odd_components):
-        if len(component) < 2:
-            continue
+    for index, component, sub in components:
         targets = {}
         for node in component:
             amount = member.on(_a(node), _component(index))
             if amount.denominator != 1:
                 raise MechanismError("integral member has a fractional component arc")
             targets[node] = int(amount)
-        realized = realize_targets(inst.induced(component), targets)
+        realized = realize_targets(sub, targets)
         if realized is None:
             raise MechanismError(
                 f"component {component!r}: internal targets {targets!r} are unrealizable"
@@ -528,10 +517,15 @@ def build_lottery(
         if perfect_part is None:
             raise MechanismError("perfectly matched agents cannot be saturated internally")
 
+    components = [
+        (index, component, inst.induced(component))
+        for index, component in enumerate(ged.odd_components)
+        if len(component) >= 2
+    ]
     entries = []
     expected = {agent: Fraction(0) for agent in construction.agents}
     for member, weight in combination.entries:
-        matching = _matching_from_member(inst, construction, perfect_part, member)
+        matching = _matching_from_member(inst, construction, perfect_part, components, member)
         if matching.total_utility != flow.value:
             raise MechanismError("lottery member is not a maximum b-matching")
         utilities = matching.utilities(inst)
@@ -562,7 +556,6 @@ def sample_lottery(lottery: Lottery, seed: int) -> BMatching:
 class IndivisibleOutcome:
     """Bundle of everything the indivisible pipeline produces for one instance."""
 
-    instance: Instance
     ged: GedDecomposition
     construction: BipartiteConstruction
     profile: UtilityProfile
@@ -576,7 +569,6 @@ def indivisible_outcome(inst: Instance) -> IndivisibleOutcome:
     construction = build_indivisible(inst, ged)
     profile = egalitarian_profile(construction)
     return IndivisibleOutcome(
-        instance=inst,
         ged=ged,
         construction=construction,
         profile=profile,

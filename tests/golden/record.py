@@ -26,7 +26,6 @@ from fairmatch import (
     format_rational,
     ged_decompose,
     max_flow,
-    water_filling_breakpoints,
 )
 
 FIXTURES = Path(__file__).with_name("fixtures.json")
@@ -57,11 +56,12 @@ def observe(inst: Instance) -> dict:
         ("indivisible", build_indivisible(inst, ged)),
         ("divisible", build_divisible(inst)),
     ):
+        profile = egalitarian_profile(construction)
         observed[model] = {
-            "profile": egalitarian_profile(construction).to_json_dict(),
+            "profile": profile.to_json_dict(),
             "breakpoints": [
                 {"lam": format_rational(b.lam), "kind": b.kind, "bottleneck": sorted(b.bottleneck)}
-                for b in water_filling_breakpoints(construction)
+                for b in profile.breakpoints
             ],
             "max_flow": format_rational(max_flow(construction.network).value),
         }

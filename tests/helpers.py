@@ -9,18 +9,22 @@ import random
 from fractions import Fraction
 from collections import deque
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 from fairmatch import (
     BMatching,
+    ExpandedInstance,
+    Flow,
     FlowNetwork,
     GedDecomposition,
     Instance,
+    InstanceError,
     MatchingError,
-    contract_matching,
+    canonical_edge,
     egalitarian_profile,
     expand_nodes,
 )
-from fairmatch.matching import _indexed, gallai_edmonds_indices, maximum_matching_indices
+from fairmatch.matching import gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.mechanism import SINK, SOURCE, BipartiteConstruction
 
 
@@ -337,10 +341,74 @@ def reference_gallai_edmonds(n: int, adj: list[list[int]], mate: list[int]) -> s
     return avoidable
 
 
+def is_integral(flow: Flow) -> bool:
+    return all(x.denominator == 1 for x in flow.values.values())
+
+
+def indexed_graph(nodes: tuple[str, ...], edges: Iterable[tuple[str, str]]):
+    """The node index and sorted integer neighbor lists of a graph on ``nodes``."""
+    index = {node: i for i, node in enumerate(nodes)}
+    adj: list[list[int]] = [[] for _ in nodes]
+    for u, v in edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    for out in adj:
+        out.sort()
+    return index, adj
+
+
+def max_matching(inst: Instance) -> frozenset[tuple[str, str]]:
+    """Maximum-cardinality matching of a unit-peak instance."""
+    if any(peak != 1 for peak in inst.peaks.values()):
+        raise MatchingError("max_matching requires unit peaks; use max_bmatching instead")
+    nodes = inst.nodes
+    _, adj = indexed_graph(nodes, inst.edges)
+    mate = maximum_matching_indices(len(nodes), adj)
+    return frozenset(
+        canonical_edge(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v
+    )
+
+
+# The string view of the expansion: copy k of node i is named ``i#k``, 1 <= k <= b_i.
+
+
+def parent(expanded: ExpandedInstance, copy: str) -> str:
+    """The node whose copy is named ``copy``."""
+    node = copy.rpartition("#")[0]
+    if copy not in expanded.copies.get(node, ()):
+        raise InstanceError(f"{copy!r} is not a copy node of this expansion")
+    return node
+
+
+def copy_adjacency(expanded: ExpandedInstance) -> dict[str, tuple[str, ...]]:
+    nbrs: dict[str, list[str]] = {copy: [] for copy in expanded.copy_nodes}
+    for u, v in expanded.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return {copy: tuple(sorted(out)) for copy, out in nbrs.items()}
+
+
+def contract_matching(expanded: ExpandedInstance, matching: Iterable[tuple[str, str]]) -> BMatching:
+    """Shrink a matching of the copy graph back to a b-matching of the base instance."""
+    pairs = [canonical_edge(u, v) for u, v in matching]
+    edge_set = set(expanded.edges)
+    touched: set[str] = set()
+    mults: dict[tuple[str, str], int] = {}
+    for cu, cv in pairs:
+        if (cu, cv) not in edge_set:
+            raise InstanceError(f"({cu!r}, {cv!r}) is not an edge of the expansion")
+        if cu in touched or cv in touched:
+            raise InstanceError(f"copy node matched twice in ({cu!r}, {cv!r})")
+        touched.update((cu, cv))
+        edge = canonical_edge(parent(expanded, cu), parent(expanded, cv))
+        mults[edge] = mults.get(edge, 0) + 1
+    return BMatching(mults)
+
+
 def _full_expansion_mate(inst: Instance):
     expanded = expand_nodes(inst)
     nodes = expanded.copy_nodes
-    index, adj = _indexed(nodes, expanded.edges)
+    index, adj = indexed_graph(nodes, expanded.edges)
     return expanded, nodes, index, adj, maximum_matching_indices(len(nodes), adj)
 
 
@@ -360,7 +428,7 @@ def reference_ged_decompose(inst: Instance) -> GedDecomposition:
     under: set[str] = set()
     for i, copy in enumerate(nodes):
         if i in avoidable:
-            under.add(expanded.parent(copy))
+            under.add(parent(expanded, copy))
     for node in under:
         if any(index[copy] not in avoidable for copy in expanded.copies[node]):
             raise MatchingError(f"copies of {node!r} disagree on avoidability")

@@ -31,6 +31,7 @@ from fairmatch.oracle import (
 from helpers import (
     direct_bipartite_rule,
     hub15_instance,
+    is_integral,
     path_instance,
     peaked_instances_up_to_iso,
     random_bipartite_instance,
@@ -218,7 +219,7 @@ def test_criterion_8_flow_decomposition_exactness():
             for arc in net.arcs:
                 assert recombined.get(arc, F(0)) == egal_flow.values.get(arc, F(0))
             for member, _ in combination.entries:
-                assert member.is_integral()
+                assert is_integral(member)
                 assert is_maximum(net, member)
 
 

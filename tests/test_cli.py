@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -146,7 +147,8 @@ def test_matching_error_is_internal_inconsistency(capsys, hub15_file, monkeypatc
 
 
 def test_verify_divisible_efficiency_reads_the_fill_flow(capsys, hub15_file, monkeypatch):
-    # the check proves the profile's own flow maximum instead of solving the doubled network
+    # the check proves the profile's own flow, the one with both margins pinned,
+    # maximum instead of solving the doubled network
     monkeypatch.setattr(cli, "max_flow", None)
     status, out = run_cli_capture(capsys, "verify", hub15_file)
     assert status == 0
@@ -156,6 +158,24 @@ def test_verify_divisible_efficiency_reads_the_fill_flow(capsys, hub15_file, mon
         "status": "pass",
         "detail": "profile total 35 vs doubled max flow 35",
     }
+
+
+def test_verify_lottery_expectation_recomputes_from_the_entries(capsys, hub15_file, monkeypatch):
+    # a lottery that keeps the profile as its expectation but not the members that
+    # realize it: its first member alone, at probability 1
+    original = cli.indivisible_outcome
+
+    def first_member_only(inst):
+        outcome = original(inst)
+        first = outcome.lottery.entries[0][0]
+        lottery = dataclasses.replace(outcome.lottery, entries=((first, Fraction(1)),))
+        return dataclasses.replace(outcome, lottery=lottery)
+
+    monkeypatch.setattr(cli, "indivisible_outcome", first_member_only)
+    status, out = run_cli_capture(capsys, "verify", hub15_file)
+    assert status == 2
+    checks = {check["name"]: check["status"] for check in json.loads(out)["checks"]}
+    assert checks["lottery-expectation"] == "fail"
 
 
 def test_verify_oracle_oversize_is_validation_error(capsys, hub15_file):

@@ -12,15 +12,20 @@ from fairmatch import (
     InstanceError,
     UtilityProfile,
     canonical_edge,
-    contract_matching,
     expand_nodes,
     format_rational,
     parse_instance,
 )
-from fairmatch.matching import _indexed
 from fairmatch.oracle import enumerate_bmatchings
 
-from helpers import hub15_json, peaked_instances_up_to_iso, triangle
+from helpers import (
+    contract_matching,
+    hub15_json,
+    indexed_graph,
+    parent,
+    peaked_instances_up_to_iso,
+    triangle,
+)
 
 
 def test_parse_triangle_echoes_input(triangle_file):
@@ -128,9 +133,9 @@ def test_integer_expansion_matches_its_string_view():
         rng.shuffle(edges)
         inst = Instance.build("random", [(f"n{label}", rng.randint(1, 15)) for label in labels], edges)
         expanded = expand_nodes(inst)
-        assert expanded.adj == _indexed(expanded.copy_nodes, expanded.edges)[1]
+        assert expanded.adj == indexed_graph(expanded.copy_nodes, expanded.edges)[1]
         assert (expanded.copies, expanded.edges) == _eager_expansion(inst)
-        assert list(map(expanded.parent, expanded.copy_nodes)) == expanded.owner
+        assert [parent(expanded, copy) for copy in expanded.copy_nodes] == expanded.owner
         for node, span in expanded.indices.items():
             assert [expanded.copy_nodes[c] for c in span] == list(expanded.copies[node])
 
@@ -145,7 +150,15 @@ def test_expanded_copies_of_same_node_never_adjacent():
     inst = Instance.build("m", [("a", 3), ("b", 2)], [("a", "b")])
     expanded = expand_nodes(inst)
     for u, v in expanded.edges:
-        assert expanded.parent(u) != expanded.parent(v)
+        assert parent(expanded, u) != parent(expanded, v)
+
+
+def test_copy_parent_rejects_names_outside_the_expansion():
+    expanded = expand_nodes(Instance.build("e", [("a", 2), ("b", 1)], [("a", "b")]))
+    assert parent(expanded, "a#2") == "a"
+    for name in ("a#7", "a#3", "a#0", "a#01", "a", "c#1", "#1"):
+        with pytest.raises(InstanceError, match="not a copy node"):
+            parent(expanded, name)
 
 
 def test_contract_empty_matching(tri):

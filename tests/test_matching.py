@@ -10,16 +10,18 @@ from fairmatch import (
     expand_nodes,
     ged_decompose,
     max_bmatching,
-    max_matching,
     realize_targets,
 )
-from fairmatch.matching import _contract, _indexed, gallai_edmonds_indices, maximum_matching_indices
+from fairmatch.matching import _contract, gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.oracle import enumerate_bmatchings, pareto_profiles
 
 from helpers import (
     brute_force_max_matching_size,
+    copy_adjacency,
     deficiency_upper_bound,
     hub15_instance,
+    indexed_graph,
+    max_matching,
     path_instance,
     peaked_instances_up_to_iso,
     random_connected_instance,
@@ -82,7 +84,7 @@ def test_engine_matches_reference_on_copy_graphs():
     for _ in range(60):
         inst = random_connected_instance(rng, max_nodes=8, max_peak=12)
         expanded = expand_nodes(inst)
-        _, adj = _indexed(expanded.copy_nodes, expanded.edges)
+        _, adj = indexed_graph(expanded.copy_nodes, expanded.edges)
         _assert_engine_matches_reference(len(adj), adj)
 
 
@@ -189,7 +191,7 @@ def test_max_bmatching_single_node():
 
 
 def _expanded_components_without(expanded, removed):
-    adjacency = expanded.adjacency()
+    adjacency = copy_adjacency(expanded)
     remaining = [c for c in expanded.copy_nodes if c not in removed]
     seen = set()
     components = []

@@ -288,9 +288,7 @@ def test_methods_agree_many_peak_levels(seed):
 
 
 def test_breakpoint_trace_hub15_network(hub15):
-    from fairmatch import water_filling_breakpoints
-
-    trace = water_filling_breakpoints(build_indivisible(hub15))
+    trace = egalitarian_profile(build_indivisible(hub15)).breakpoints
     assert [(bp.lam, bp.kind) for bp in trace] == [
         (F(2), "type-2"), (F(7, 3), "type-2"), (F(5), "type-1")
     ]
@@ -304,11 +302,9 @@ def test_breakpoint_trace_hub15_network(hub15):
 def test_type2_breakpoints_satisfy_bottleneck_identity(seed):
     # At a type-2 breakpoint the group's joint allocation exactly fills the
     # demand capacity of its image.
-    from fairmatch import water_filling_breakpoints
-
     inst = random_connected_instance(random.Random(4400 + seed), max_nodes=6, max_peak=3)
     built = build_indivisible(inst)
-    for bp in water_filling_breakpoints(built):
+    for bp in egalitarian_profile(built).breakpoints:
         if bp.kind != "type-2":
             continue
         supplied = sum(

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from fairmatch import (
     InstanceError,
     OracleSizeError,
     UtilityProfile,
+    cli,
     enumerate_bmatchings,
     lorenz_dominates,
     manipulation_experiment,
@@ -209,6 +211,57 @@ def test_apply_deviation_builds_reported_instance(path7):
     )
     assert reported.peaks["s1"] == 3
     assert ("s1", "s2") not in reported.edges
+
+
+# Link-hiding deviations under which every deviator strictly gains: the
+# indivisible rule is not link-group-strategyproof in this strong sense.
+# Each case: instance, coalition, hidden edges, truthful and reported profiles.
+LINK_HIDING_GAINS = {
+    "single-agent": (
+        Instance.build(
+            "hide-one",
+            [("v0", 1), ("v1", 1), ("v2", 1), ("v3", 2)],
+            [("v0", "v3"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3")],
+        ),
+        ["v3"],
+        (("v0", "v3"),),
+        {"v0": 1, "v1": 1, "v2": 1, "v3": 1},
+        {"v0": 0, "v1": 1, "v2": 1, "v3": 2},
+    ),
+    "pair-cuts-out-a-neighbor": (
+        Instance.build(
+            "triangle", [("v0", 1), ("v1", 1), ("v2", 1)],
+            [("v0", "v1"), ("v1", "v2"), ("v0", "v2")],
+        ),
+        ["v0", "v1"],
+        (("v0", "v2"), ("v1", "v2")),
+        {"v0": F(2, 3), "v1": F(2, 3), "v2": F(2, 3)},
+        {"v0": 1, "v1": 1, "v2": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINK_HIDING_GAINS))
+def test_link_hiding_profitable_fixture(case):
+    inst, coalition, hidden, truthful, reported = LINK_HIDING_GAINS[case]
+    report = manipulation_experiment(inst, Deviation(hide_edges=hidden), coalition)
+    assert report.truthful == profile_of(truthful)
+    assert report.manipulated == profile_of(reported)
+    assert report.verdict == "profitable"
+
+
+@pytest.mark.parametrize("case", sorted(LINK_HIDING_GAINS))
+def test_link_hiding_profitable_fixture_cli(case, tmp_path, capsys):
+    inst, coalition, hidden, truthful, reported = LINK_HIDING_GAINS[case]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst.to_json_dict()))
+    argv = ["manipulate", str(path), "--coalition", ",".join(coalition)]
+    for u, v in hidden:
+        argv += ["--hide-edge", f"{u}:{v}"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["manipulated"] == profile_of(reported).to_json_dict()
+    assert payload["verdict"] == "profitable"
 
 
 def _random_link_hiding(rng, inst):

@@ -24,6 +24,7 @@ from fairmatch import (
     mechanism,
 )
 
+from golden.record import MEMBERS, observe, seeded_instance
 from helpers import path_instance, triangle
 
 
@@ -61,6 +62,23 @@ def test_egalitarian_profile_solves_distinct_peaks_path(calls):
     construction = build_divisible(path_instance(30, tuple(range(10, 40))))
     egalitarian_profile(construction)
     assert calls["max_flow"] <= 3
+
+
+def test_solve_divisible_dump_flow_solves_no_more_than_solve(hub15_file, calls, capsys):
+    # the dumped flow is the one the exchange came from, not a second pinned solve
+    assert cli.main(["solve", "--model", "divisible", hub15_file]) == 0
+    solve_calls = calls["max_flow"]
+    calls["max_flow"] = 0
+    assert cli.main(["solve", "--model", "divisible", "--dump-flow", hub15_file]) == 0
+    assert calls["max_flow"] == solve_calls == 7
+
+
+def test_golden_observe_fills_each_construction_once(calls):
+    # the breakpoints ride on the profile, so each construction is filled once
+    inst = seeded_instance(*MEMBERS[0])
+    assert inst.name == "golden-36"
+    observe(inst)
+    assert calls["max_flow"] <= 16
 
 
 def test_egalitarian_lp_solves_hub15(hub15, calls):
