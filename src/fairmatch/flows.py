@@ -125,6 +125,16 @@ def _search(net: FlowNetwork, values: Mapping[Arc, Fraction], backward: bool = F
     return parent
 
 
+def _tree_path(parent: dict[str, str], v: str) -> list[Arc]:
+    """Arcs of the search-tree path from the root of ``parent`` to ``v``."""
+    path: list[Arc] = []
+    while parent[v] != v:
+        path.append((parent[v], v))
+        v = parent[v]
+    path.reverse()
+    return path
+
+
 def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
     balance: dict[str, Fraction] = {}
     for arc, x in flow.values.items():
@@ -143,20 +153,56 @@ def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
         raise FlowError("flow value does not match net outflow of the source")
 
 
-def max_flow(net: FlowNetwork) -> Flow:
-    """Maximum flow by shortest augmenting paths; integral whenever capacities are."""
+def _cancel_excess(net: FlowNetwork, values: dict[Arc, Fraction]) -> Fraction:
+    """Bring every source arc down to its cap: cancel the flow it carries above
+    the cap along shortest paths of positive-flow arcs to the sink, searched in
+    ``net.neighbors`` order. Returns the value cancelled."""
+    nbrs = net.neighbors
+    cancelled = Fraction(0)
+    for head in nbrs[net.source]:
+        arc = (net.source, head)
+        excess = values[arc] - net.arcs[arc]
+        while excess > 0:
+            parent = {head: head}
+            queue = deque([head])
+            while queue and net.sink not in parent:
+                u = queue.popleft()
+                for v in nbrs[u]:
+                    if v not in parent and values.get((u, v), 0) > 0:
+                        parent[v] = u
+                        queue.append(v)
+            if net.sink not in parent:
+                raise FlowError(f"arc {arc!r}: cannot cancel the flow above its cap")
+            path = _tree_path(parent, net.sink)
+            amount = min(excess, *(values[a] for a in path))
+            for a in [arc, *path]:
+                values[a] -= amount
+            excess -= amount
+            cancelled += amount
+    return cancelled
+
+
+def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
+    """Maximum flow by shortest augmenting paths; integral whenever capacities
+    and ``start`` are.
+
+    Without ``start`` the search begins from zero flow. With it, it begins from
+    ``start``, which must be a feasible flow of ``net`` except that arcs out of
+    the source may carry more than their caps; that excess is cancelled first
+    (see :func:`_cancel_excess`). Raises :class:`FlowError` when the excess
+    cannot be cancelled or ``start`` is infeasible in any other way.
+    """
     values: dict[Arc, Fraction] = {arc: Fraction(0) for arc in net.arcs}
     total = Fraction(0)
+    if start is not None:
+        values.update(start.values)
+        total = start.value - _cancel_excess(net, values)
+        _check_feasible(net, Flow(values=values, value=total))
     while True:
         parent = _search(net, values)
         if net.sink not in parent:
             return Flow(values=values, value=total)
-        path: list[Arc] = []
-        v = net.sink
-        while v != net.source:
-            path.append((parent[v], v))
-            v = parent[v]
-        path.reverse()
+        path = _tree_path(parent, net.sink)
         bottleneck: Fraction | None = None
         for u, v in path:
             spare = _residual(net, values, u, v)

@@ -232,12 +232,13 @@ def _maximum(inst: Instance):
         doubled = {edge: 2 * mult for edge, mult in z.items()}
         spare = _spare(peaks, doubled)
         z = {}
-        for u, v in inst.edges:
+        for edge in inst.edges:
+            u, v = edge
             extra = min(spare[u], spare[v])
             spare[u] -= extra
             spare[v] -= extra
-            if mult := doubled.get((u, v), 0) + extra:
-                z[(u, v)] = mult
+            if mult := doubled.get(edge, 0) + extra:
+                z[edge] = mult
         while True:
             expanded, mate, kept = _reduced_graph(inst, peaks, z)
             seeded = mate.count(-1)
@@ -361,7 +362,7 @@ def realize_targets(inst: Instance, targets: Mapping[str, int]) -> BMatching | N
     shrunk = Instance(
         name=f"{inst.name}[targets]",
         peaks={node: targets[node] for node in inst.peaks if targets[node]},
-        edges=tuple((u, v) for u, v in inst.edges if targets[u] and targets[v]),
+        edges=tuple(edge for edge in inst.edges if targets[edge[0]] and targets[edge[1]]),
     )
     matched = max_bmatching(shrunk)
     if matched.total_utility != total:

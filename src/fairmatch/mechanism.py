@@ -108,6 +108,7 @@ def build_indivisible(inst: Instance, ged: GedDecomposition | None = None) -> Bi
         raise MechanismError("decomposition does not cover the instance nodes")
 
     adjacency = inst.adjacency()
+    edges = {edge: edge for edge in inst.edges}  # the instance's own tuples
     arcs: dict[Arc, Fraction | None] = {}
     provenance: dict[Arc, tuple] = {}
     for node, peak in inst.peaks.items():
@@ -125,7 +126,7 @@ def build_indivisible(inst: Instance, ged: GedDecomposition | None = None) -> Bi
             if nbr in ged.under:
                 arc = (_a(nbr), _over(over_node))
                 arcs[arc] = None
-                provenance[arc] = ("exchange", canonical_edge(nbr, over_node))
+                provenance[arc] = ("exchange", edges[canonical_edge(nbr, over_node)])
     for index, component in enumerate(ged.odd_components):
         if len(component) < 2:
             continue
@@ -266,7 +267,10 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     Each breakpoint is found by discrete Newton from the largest active peak down,
     every active agent capped at ``min(lam, peak)``. The caps grow with ``lam``, so
     the minimum cuts are nested (Gallo, Grigoriadis & Tarjan): every probe stays at
-    or above the breakpoint and no cut is used twice.
+    or above the breakpoint and no cut is used twice. Only the first probe solves
+    from zero flow; each later probe starts from the flow of the probe before it,
+    whose supply arcs carry at most the old caps: within a search the caps only
+    fall (``max_flow`` cancels the excess), across breakpoints they only rise.
 
     The profile carries the breakpoints (type-2 bottleneck freezes in order, then
     the terminal type-1 peaks event when some agents never bottleneck) and the
@@ -289,7 +293,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             caps = {supply_arcs[agent]: frozen[agent] for agent in frozen}
             caps.update({supply_arcs[agent]: min(lam, Fraction(peaks[agent])) for agent in active})
             capped = net.with_caps(caps)
-            flow = max_flow(capped)
+            flow = max_flow(capped, start=flow)
             deficit = sum(caps.values(), Fraction(0)) - flow.value
             if not deficit:
                 break
@@ -388,9 +392,9 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
     flow = egalitarian_flow(construction, filled)
     profile = replace(filled, flow=flow)
     exchange: dict[tuple[str, str], Fraction] = {}
-    for u, v in inst.edges:
-        amount = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
-        exchange[(u, v)] = amount
+    for edge in inst.edges:
+        u, v = edge
+        exchange[edge] = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
     for node in inst.nodes:
         induced = sum(
             (amount for edge, amount in exchange.items() if node in edge), Fraction(0)
@@ -425,7 +429,6 @@ class Lottery:
     """
 
     entries: tuple[tuple[BMatching, Fraction], ...]
-    expected: UtilityProfile
     flow: Flow
     combination: ConvexCombination
 
@@ -535,9 +538,7 @@ def build_lottery(
     for agent in expected:
         if expected[agent] != profile[agent]:
             raise MechanismError(f"lottery expectation misses the profile at {agent!r}")
-    return Lottery(
-        entries=tuple(entries), expected=profile, flow=flow, combination=combination
-    )
+    return Lottery(entries=tuple(entries), flow=flow, combination=combination)
 
 
 def sample_lottery(lottery: Lottery, seed: int) -> BMatching:

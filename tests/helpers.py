@@ -20,12 +20,24 @@ from fairmatch import (
     Instance,
     InstanceError,
     MatchingError,
+    MechanismError,
+    UtilityProfile,
     canonical_edge,
     egalitarian_profile,
     expand_nodes,
+    max_flow,
+    maximal_min_cut,
+    min_cut,
 )
 from fairmatch.matching import gallai_edmonds_indices, maximum_matching_indices
-from fairmatch.mechanism import SINK, SOURCE, BipartiteConstruction
+from fairmatch.mechanism import (
+    SINK,
+    SOURCE,
+    BipartiteConstruction,
+    Breakpoint,
+    _bottleneck_identity,
+    _lowered_cap,
+)
 
 
 def triangle(peaks: tuple[int, int, int] = (1, 1, 1)) -> Instance:
@@ -250,6 +262,57 @@ def direct_bipartite_rule(
         )
         values.update(egalitarian_profile(construction).values)
     return values
+
+
+def reference_egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
+    """The water-fill with every probe solved from zero flow: the engine's
+    warm-started fill must find the same profile and breakpoints."""
+    net = construction.network
+    supply_arcs = construction.supply_arcs
+    peaks = construction.peaks
+    frozen: dict[str, Fraction] = {}
+    trace: list[Breakpoint] = []
+    active = sorted(supply_arcs)
+    previous_break = Fraction(0)
+    capped, flow = net, None
+    while active:
+        lam = top = Fraction(max(peaks[agent] for agent in active))
+        while top > previous_break:
+            caps = {supply_arcs[agent]: frozen[agent] for agent in frozen}
+            caps.update({supply_arcs[agent]: min(lam, Fraction(peaks[agent])) for agent in active})
+            capped = net.with_caps(caps)
+            flow = max_flow(capped)
+            deficit = sum(caps.values(), Fraction(0)) - flow.value
+            if not deficit:
+                break
+            cut_side = min_cut(capped, flow)
+            cut_caps = [caps[supply_arcs[a]] for a in active if supply_arcs[a][1] in cut_side]
+            lowered = _lowered_cap(cut_caps, deficit)
+            if not previous_break <= lowered < lam:
+                raise MechanismError("bottleneck search left its segment")
+            lam = lowered
+        if lam == top:
+            trace.append(
+                Breakpoint(lam=top, kind="type-1", bottleneck=frozenset(active), image=frozenset())
+            )
+            for agent in active:
+                frozen[agent] = Fraction(peaks[agent])
+            break
+        previous_break = lam
+        bottleneck_side = maximal_min_cut(capped, flow)
+        _bottleneck_identity(capped, bottleneck_side)
+        newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
+        if not newly:
+            raise MechanismError("breakpoint without a bottlenecked agent")
+        fresh_nodes = {supply_arcs[agent][1] for agent in newly}
+        image = frozenset(
+            head for (tail, head), x in flow.values.items() if tail in fresh_nodes and x > 0
+        )
+        trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
+        for agent in newly:
+            frozen[agent] = min(lam, Fraction(peaks[agent]))
+        active = [agent for agent in active if agent not in newly]
+    return UtilityProfile(frozen, flow=flow, breakpoints=tuple(trace))
 
 
 def reference_blossom_search(n: int, adj: list[list[int]], mate: list[int], root: int):

@@ -10,13 +10,21 @@ from fairmatch import (
     build_divisible,
     build_indivisible,
     decompose_max_flow,
+    egalitarian_profile,
     max_flow,
     maximal_min_cut,
     min_cut,
 )
 from fairmatch.flows import Flow, is_maximum
 
-from helpers import diamond_instance, hub15_instance, is_integral, reversed_network
+from golden.record import seeded_instance
+from helpers import (
+    diamond_instance,
+    hub15_instance,
+    is_integral,
+    reference_egalitarian_profile,
+    reversed_network,
+)
 
 
 def cut_capacity(net: FlowNetwork, side) -> Fraction:
@@ -242,3 +250,78 @@ def test_decompose_random_fractional_max_flows(seed):
     for member, _ in combo.entries:
         assert is_integral(member)
         assert is_maximum(integral_net, member)
+
+
+def _layered_network(rng: random.Random) -> FlowNetwork:
+    """Source, three layers of 2-4 nodes, sink; arcs only between consecutive
+    layers, the inner ones sometimes unbounded."""
+    layers = [["s"]] + [
+        [f"l{depth}n{i}" for i in range(rng.randint(2, 4))] for depth in range(3)
+    ] + [["t"]]
+    arcs = {}
+    for depth, (tails, heads) in enumerate(zip(layers, layers[1:])):
+        terminal = depth == 0 or depth == len(layers) - 2
+        for u in tails:
+            for v in heads:
+                if terminal or rng.random() < 0.6:
+                    unbounded = not terminal and rng.random() < 0.3
+                    arcs[(u, v)] = None if unbounded else Fraction(rng.randint(0, 9), rng.randint(1, 3))
+    return FlowNetwork("s", "t", arcs)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_warm_start_from_higher_source_caps_matches_cold(seed):
+    # the start ships more than the new caps on some source arcs and less on
+    # others: the warm solve cancels the excess, then augments to the same cuts
+    rng = random.Random(f"warm/{seed}")
+    net = _layered_network(rng)
+    start = max_flow(net)
+    before = dict(start.values)
+    new_caps = {}
+    for arc, cap in net.arcs.items():
+        if arc[0] == "s":
+            new_caps[arc] = cap * rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1, 2))
+    capped = net.with_caps(new_caps)
+    warm = max_flow(capped, start=start)
+    cold = max_flow(capped)
+    assert warm.value == cold.value
+    assert min_cut(capped, warm) == min_cut(capped, cold)
+    assert maximal_min_cut(capped, warm) == maximal_min_cut(capped, cold)
+    assert start.values == before  # the start is not modified
+
+
+def test_warm_start_cancels_excess_along_flow_paths():
+    net = simple_net({("s", "a"): 3, ("a", "b"): 2, ("a", "c"): 2, ("b", "t"): 2, ("c", "t"): 2})
+    start = max_flow(net)
+    assert start.value == 3
+    warm = max_flow(net.with_caps({("s", "a"): 1}), start=start)
+    assert warm.value == 1
+    assert warm.values[("s", "a")] == 1
+    assert warm.values[("a", "b")] + warm.values[("a", "c")] == 1
+
+
+def test_warm_start_rejects_infeasible_start():
+    net = simple_net({("s", "a"): 3, ("a", "t"): 2})
+    over_inner_cap = Flow(values={("s", "a"): Fraction(3), ("a", "t"): Fraction(3)}, value=Fraction(3))
+    with pytest.raises(FlowError, match="outside"):
+        max_flow(net, start=over_inner_cap)
+    unbalanced = Flow(values={("s", "a"): Fraction(2), ("a", "t"): Fraction(1)}, value=Fraction(2))
+    with pytest.raises(FlowError, match="conservation"):
+        max_flow(net, start=unbalanced)
+    stranded = Flow(values={("s", "a"): Fraction(2), ("a", "t"): Fraction(0)}, value=Fraction(2))
+    with pytest.raises(FlowError, match="cannot cancel"):
+        max_flow(net.with_caps({("s", "a"): 1}), start=stranded)
+    with pytest.raises(FlowError, match="missing arc"):
+        max_flow(net, start=Flow(values={("a", "s"): Fraction(0)}, value=Fraction(0)))
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+@pytest.mark.parametrize("seed, n", [(1, 40), (2, 48), (3, 64), (4, 80)])
+def test_warm_fill_matches_cold_fill_at_scale(build, seed, n):
+    # every probe after the first starts from the probe before it; the fill
+    # that solves each probe from zero must give the same profile and events
+    construction = build(seeded_instance(seed, n, 3))
+    warm = egalitarian_profile(construction)
+    cold = reference_egalitarian_profile(construction)
+    assert warm == cold
+    assert warm.breakpoints == cold.breakpoints

@@ -353,6 +353,19 @@ def test_lottery_hub15_three_equal_entries(hub15):
     assert sorted(competitors) == ["s2", "s4", "s5"]
 
 
+def test_results_hold_the_instance_edge_tuples(hub15):
+    # the exchange and every lottery member are keyed by the instance's own
+    # edge objects, not by equal copies of them
+    own = {id(edge) for edge in hub15.edges}
+    _, exchange = egalitarian_divisible(hub15)
+    assert list(exchange) == list(hub15.edges)
+    assert all(id(edge) in own for edge in exchange)
+    outcome = indivisible_outcome(hub15)
+    keys = [edge for matching, _ in outcome.lottery.entries for edge in matching.multiplicities]
+    assert len(keys) > len(outcome.lottery.entries)
+    assert all(id(edge) in own for edge in keys)
+
+
 def test_lottery_integral_profile_is_singleton():
     inst = Instance.build("pair", [("a", 1), ("b", 1)], [("a", "b")])
     outcome = indivisible_outcome(inst)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,7 @@ from fairmatch.oracle import (
     prefers_somewhere,
 )
 
-from helpers import path_instance, random_connected_instance, triangle
+from helpers import path_instance, peaked_instances_up_to_iso, random_connected_instance, triangle
 
 F = Fraction
 
@@ -262,6 +263,23 @@ def test_link_hiding_profitable_fixture_cli(case, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["manipulated"] == profile_of(reported).to_json_dict()
     assert payload["verdict"] == "profitable"
+
+
+def test_single_agent_link_hiding_never_profitable_unit_peaks():
+    # The claim this reproduction stands behind, checked exhaustively: with unit
+    # peaks, on every connected graph of at most 5 nodes up to isomorphism, no
+    # single agent strictly gains by hiding any nonempty set of its own links.
+    # (With larger peaks or with coalitions it can; see LINK_HIDING_GAINS.)
+    runs = 0
+    for inst in peaked_instances_up_to_iso(5, 1):
+        for agent in inst.nodes:
+            incident = [edge for edge in inst.edges if agent in edge]
+            for size in range(1, len(incident) + 1):
+                for hidden in combinations(incident, size):
+                    report = manipulation_experiment(inst, Deviation(hide_edges=hidden), [agent])
+                    assert report.verdict != "profitable", (inst, agent, hidden)
+                    runs += 1
+    assert runs == 735
 
 
 def _random_link_hiding(rng, inst):

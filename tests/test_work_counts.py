@@ -106,6 +106,50 @@ def test_manipulation_builds_no_lottery(hub15, calls):
 
 
 @pytest.fixture
+def residual_searches(monkeypatch):
+    counts = {"searches": 0}
+    original = flows._search
+
+    def counted(*args, **kwargs):
+        counts["searches"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_search", counted)
+    return counts
+
+
+@pytest.mark.parametrize("build, max_searches", [(build_indivisible, 35), (build_divisible, 38)])
+def test_egalitarian_profile_searches_hub15(hub15, residual_searches, build, max_searches):
+    # each probe augments from the previous probe's flow: solving every probe
+    # from zero took 104 and 128 residual searches
+    construction = build(hub15)
+    egalitarian_profile(construction)
+    assert residual_searches["searches"] <= max_searches
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    counts = {"cold": 0}
+    original = mechanism.max_flow
+
+    def counted(net, start=None):
+        counts["cold"] += start is None
+        return original(net, start)
+
+    monkeypatch.setattr(mechanism, "max_flow", counted)
+    return counts
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+def test_every_fill_solves_from_zero_once(hub15, cold_solves, build):
+    # only the first probe of a fill starts from zero flow
+    for inst in (hub15, path_instance(30, tuple(range(10, 40))), seeded_instance(*MEMBERS[0])):
+        cold_solves["cold"] = 0
+        egalitarian_profile(build(inst))
+        assert cold_solves["cold"] == 1, inst.name
+
+
+@pytest.fixture
 def searches(monkeypatch):
     counts = {"blossom": 0, "copy_edges": 0}
     original = matching._blossom_search
