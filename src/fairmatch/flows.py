@@ -154,27 +154,33 @@ def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
 
 
 def _cancel_excess(net: FlowNetwork, values: dict[Arc, Fraction]) -> Fraction:
-    """Bring every source arc down to its cap: cancel the flow it carries above
-    the cap along shortest paths of positive-flow arcs to the sink, searched in
-    ``net.neighbors`` order. Returns the value cancelled."""
+    """Bring every terminal arc down to its cap: cancel the flow it carries above
+    the cap along shortest paths of positive-flow arcs, searched in
+    ``net.neighbors`` order. Arcs out of the source go first, each along paths
+    from its head to the sink; then arcs into the sink, each along paths from
+    the source to its tail. Returns the value cancelled."""
+    source, sink = net.source, net.sink
     nbrs = net.neighbors
+    terminal_arcs = [(source, head) for head in nbrs[source]]
+    terminal_arcs += [(tail, sink) for tail in nbrs[sink]]
     cancelled = Fraction(0)
-    for head in nbrs[net.source]:
-        arc = (net.source, head)
+    for arc in terminal_arcs:
+        tail, head = arc
+        start, goal = (head, sink) if tail == source else (source, tail)
         excess = values[arc] - net.arcs[arc]
         while excess > 0:
-            parent = {head: head}
-            queue = deque([head])
-            while queue and net.sink not in parent:
+            parent = {start: start}
+            queue = deque([start])
+            while queue and goal not in parent:
                 u = queue.popleft()
                 for v in nbrs[u]:
                     if v not in parent and values.get((u, v), 0) > 0:
                         parent[v] = u
                         queue.append(v)
-            if net.sink not in parent:
+            if goal not in parent:
                 raise FlowError(f"arc {arc!r}: cannot cancel the flow above its cap")
-            path = _tree_path(parent, net.sink)
-            amount = min(excess, *(values[a] for a in path))
+            path = _tree_path(parent, goal)
+            amount = min([excess, *(values[a] for a in path)])
             for a in [arc, *path]:
                 values[a] -= amount
             excess -= amount
@@ -187,9 +193,9 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     and ``start`` are.
 
     Without ``start`` the search begins from zero flow. With it, it begins from
-    ``start``, which must be a feasible flow of ``net`` except that arcs out of
-    the source may carry more than their caps; that excess is cancelled first
-    (see :func:`_cancel_excess`). Raises :class:`FlowError` when the excess
+    ``start``, which must be a feasible flow of ``net`` except that terminal
+    arcs (out of the source or into the sink) may carry more than their caps;
+    that excess is cancelled first (see :func:`_cancel_excess`). Raises :class:`FlowError` when the excess
     cannot be cancelled or ``start`` is infeasible in any other way.
     """
     values: dict[Arc, Fraction] = {arc: Fraction(0) for arc in net.arcs}

@@ -372,14 +372,6 @@ class UtilityProfile:
     def total(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
 
-    def validate_for(self, inst: Instance) -> None:
-        """Raise unless the profile covers exactly ``inst``'s nodes with x_i <= b_i."""
-        if set(self.values) != set(inst.peaks):
-            raise InstanceError("profile agents do not match instance nodes")
-        for node, x in self.values.items():
-            if x > inst.peaks[node]:
-                raise InstanceError(f"node {node!r}: utility {x} exceeds peak {inst.peaks[node]}")
-
     def sorted_values(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.values.values()))
 

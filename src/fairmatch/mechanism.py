@@ -368,20 +368,6 @@ def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:
     return UtilityProfile(frozen)
 
 
-def egalitarian_flow(construction: BipartiteConstruction, profile: UtilityProfile) -> Flow:
-    """A maximum flow of the construction that ships exactly ``profile``: every
-    supply arc is pinned to its agent's value, and in the divisible construction
-    every demand arc too, so both margins of the doubled network equal the
-    profile."""
-    pinned = {arc: profile[agent] for agent, arc in construction.supply_arcs.items()}
-    if construction.kind == "divisible":
-        pinned.update({(_b(agent), SINK): profile[agent] for agent in construction.agents})
-    flow = max_flow(construction.network.with_caps(pinned))
-    if flow.value != profile.total:
-        raise MechanismError(f"profile is not realizable by a {construction.kind} maximum flow")
-    return flow
-
-
 def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[str, str], Fraction]]:
     """Egalitarian profile for divisible goods plus a symmetric edge exchange
     realizing it: f_ij = (g(a_i, b_j) + g(a_j, b_i)) / 2 with both flow margins
@@ -389,7 +375,13 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
     breakpoints."""
     construction = build_divisible(inst)
     filled = egalitarian_profile(construction)
-    flow = egalitarian_flow(construction, filled)
+    pinned = {arc: filled[agent] for agent, arc in construction.supply_arcs.items()}
+    pinned.update({(_b(agent), SINK): filled[agent] for agent in construction.agents})
+    # The fill's flow ships the profile on every supply arc; max_flow cancels
+    # what it carries above the profile on demand arcs, then augments back.
+    flow = max_flow(construction.network.with_caps(pinned), start=filled.flow)
+    if flow.value != filled.total:
+        raise MechanismError("profile is not realizable by a divisible maximum flow")
     profile = replace(filled, flow=flow)
     exchange: dict[tuple[str, str], Fraction] = {}
     for edge in inst.edges:
@@ -494,17 +486,17 @@ def build_lottery(
     inst: Instance, construction: BipartiteConstruction, profile: UtilityProfile
 ) -> Lottery:
     """Realize a fractional egalitarian profile as a lottery over integral maximum
-    b-matchings: decompose the profile's maximum flow (the water-fill's own when
-    the profile carries one on this network), then map every integral member back
-    to a b-matching (perfect side internally, over-demanded exchange from the
-    arcs, components completed to their internal totals)."""
+    b-matchings: decompose the profile's maximum flow, which must be a flow of
+    this construction's network (the water-fill's own), then map every integral
+    member back to a b-matching (perfect side internally, over-demanded exchange
+    from the arcs, components completed to their internal totals)."""
     if construction.kind != "indivisible":
         raise MechanismError("lotteries are defined for the indivisible construction")
     ged = construction.ged
     assert ged is not None
     flow = profile.flow
     if flow is None or flow.values.keys() != construction.network.arcs.keys():
-        flow = egalitarian_flow(construction, profile)  # not made by this construction
+        raise MechanismError("the profile carries no flow of this construction")
     try:
         combination = decompose_max_flow(construction.network, flow)
     except FlowError as exc:

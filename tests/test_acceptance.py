@@ -225,21 +225,20 @@ def test_criterion_8_flow_decomposition_exactness():
 
 def test_weak_link_group_strategyproofness_search():
     # The strategyproofness theorem is not checkable as a proof; this is the
-    # 1000-trial falsification search: no sampled link-hiding coalition may
-    # leave EVERY deviator strictly better off.
-    label = "weak link-group-strategyproofness: 1000-trial falsification search"
+    # 1000-trial falsification search for the claim that holds: with unit
+    # peaks, no single agent strictly gains by hiding a sampled nonempty set of
+    # its own links. (The same search over coalitions of up to 3 agents and
+    # peaks up to 3 finds a profitable deviation at its 1,186th trial; see
+    # LINK_HIDING_GAINS in tests/test_oracle.py.)
+    label = "single-agent link hiding, unit peaks: 1000-trial falsification search"
     with Budget(label, 120.0):
         rng = random.Random(987654321)
         trials = 0
         strict_gains = 0
         while trials < 1000:
-            inst = random_connected_instance(rng, max_nodes=6, max_peak=3)
-            coalition = rng.sample(
-                inst.nodes, k=min(len(inst.nodes), rng.randint(1, 3))
-            )
-            candidates = [
-                e for e in inst.edges if e[0] in coalition or e[1] in coalition
-            ]
+            inst = random_connected_instance(rng, max_nodes=6, max_peak=1)
+            coalition = [rng.choice(inst.nodes)]
+            candidates = [e for e in inst.edges if coalition[0] in e]
             if not candidates:
                 continue
             hidden = tuple(rng.sample(candidates, k=rng.randint(1, len(candidates))))

@@ -272,22 +272,28 @@ def _layered_network(rng: random.Random) -> FlowNetwork:
 @pytest.mark.parametrize("seed", range(40))
 def test_warm_start_from_higher_source_caps_matches_cold(seed):
     # the start ships more than the new caps on some source arcs and less on
-    # others: the warm solve cancels the excess, then augments to the same cuts
+    # others, and then also more than lowered caps on some sink arcs: the warm
+    # solve cancels the excess, then augments to the same cuts
     rng = random.Random(f"warm/{seed}")
     net = _layered_network(rng)
     start = max_flow(net)
     before = dict(start.values)
-    new_caps = {}
+    source_caps = {}
     for arc, cap in net.arcs.items():
         if arc[0] == "s":
-            new_caps[arc] = cap * rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1, 2))
-    capped = net.with_caps(new_caps)
-    warm = max_flow(capped, start=start)
-    cold = max_flow(capped)
-    assert warm.value == cold.value
-    assert min_cut(capped, warm) == min_cut(capped, cold)
-    assert maximal_min_cut(capped, warm) == maximal_min_cut(capped, cold)
-    assert start.values == before  # the start is not modified
+            source_caps[arc] = cap * rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1, 2))
+    sink_caps = {}
+    for arc, cap in net.arcs.items():
+        if arc[1] == "t":
+            sink_caps[arc] = cap * rng.choice((0, Fraction(1, 3), Fraction(1, 2), 1))
+    for new_caps in (source_caps, {**source_caps, **sink_caps}):
+        capped = net.with_caps(new_caps)
+        warm = max_flow(capped, start=start)
+        cold = max_flow(capped)
+        assert warm.value == cold.value
+        assert min_cut(capped, warm) == min_cut(capped, cold)
+        assert maximal_min_cut(capped, warm) == maximal_min_cut(capped, cold)
+        assert start.values == before  # the start is not modified
 
 
 def test_warm_start_cancels_excess_along_flow_paths():
@@ -300,11 +306,29 @@ def test_warm_start_cancels_excess_along_flow_paths():
     assert warm.values[("a", "b")] + warm.values[("a", "c")] == 1
 
 
+def test_warm_start_cancels_sink_excess_along_flow_paths():
+    # the excess on the sink arc is cancelled along s-a-c first (neighbor
+    # order), then along s-b-c; nothing is left to augment
+    net = simple_net({("s", "a"): 2, ("s", "b"): 2, ("a", "c"): 2, ("b", "c"): 2, ("c", "t"): 4})
+    start = max_flow(net)
+    assert start.value == 4
+    warm = max_flow(net.with_caps({("c", "t"): 1}), start=start)
+    assert warm.value == 1
+    assert (warm.values[("s", "a")], warm.values[("s", "b")], warm.values[("c", "t")]) == (0, 1, 1)
+    # an arc from the source straight to the sink is its own cancelling path
+    direct = simple_net({("s", "t"): 3})
+    assert max_flow(direct.with_caps({("s", "t"): 1}), start=max_flow(direct)).value == 1
+
+
 def test_warm_start_rejects_infeasible_start():
     net = simple_net({("s", "a"): 3, ("a", "t"): 2})
-    over_inner_cap = Flow(values={("s", "a"): Fraction(3), ("a", "t"): Fraction(3)}, value=Fraction(3))
+    inner = simple_net({("s", "a"): 3, ("a", "b"): 2, ("b", "t"): 3})
+    over_inner_cap = Flow(
+        values={("s", "a"): Fraction(3), ("a", "b"): Fraction(3), ("b", "t"): Fraction(3)},
+        value=Fraction(3),
+    )
     with pytest.raises(FlowError, match="outside"):
-        max_flow(net, start=over_inner_cap)
+        max_flow(inner, start=over_inner_cap)
     unbalanced = Flow(values={("s", "a"): Fraction(2), ("a", "t"): Fraction(1)}, value=Fraction(2))
     with pytest.raises(FlowError, match="conservation"):
         max_flow(net, start=unbalanced)

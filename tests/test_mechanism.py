@@ -21,8 +21,10 @@ from fairmatch import (
     probabilistic_marginals,
     sample_lottery,
 )
+from fairmatch.flows import Flow, is_maximum
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
+from golden.record import seeded_instance
 from helpers import (
     direct_bipartite_rule,
     expected_value,
@@ -142,6 +144,25 @@ def test_divisible_total_is_maximum(seed):
     inst = random_connected_instance(random.Random(4000 + seed), max_nodes=6, max_peak=3)
     profile, _ = egalitarian_divisible(inst)
     assert profile.total == max_flow(build_divisible(inst).network).value
+
+
+@pytest.mark.parametrize("seed, n", [(1, 40), (2, 48), (3, 64), (4, 80)])
+def test_divisible_pinned_flow_at_scale(seed, n):
+    # the pinned flow augments from the fill's last flow: it must still ship
+    # the profile on both margins and be maximum on the unpinned network
+    inst = seeded_instance(seed, n, 3)
+    profile, exchange = egalitarian_divisible(inst)
+    built = build_divisible(inst)
+    demand_arcs = {tag[1]: arc for arc, tag in built.provenance.items() if tag[0] == "demand"}
+    flow = profile.flow
+    for node in inst.nodes:
+        assert flow.on(*built.supply_arcs[node]) == profile[node]
+        assert flow.on(*demand_arcs[node]) == profile[node]
+    assert is_maximum(built.network, flow)
+    assert all(amount >= 0 for amount in exchange.values())
+    for node in inst.nodes:
+        induced = sum((amount for edge, amount in exchange.items() if node in edge), F(0))
+        assert induced == profile[node]
 
 
 def _divisible_profile_feasible(inst, values):
@@ -388,24 +409,26 @@ def test_lottery_requires_indivisible_construction(tri):
 
 
 def test_lottery_rejects_non_maximum_profile(tri):
+    # the zero flow of the construction's own network is decomposed, and is not maximum
     built = build_indivisible(tri)
+    zero = Flow(values=dict.fromkeys(built.network.arcs, F(0)), value=F(0))
+    profile = UtilityProfile({"a": F(0), "b": F(0), "c": F(0)}, flow=zero)
     with pytest.raises(MechanismError, match="maximum"):
-        build_lottery(tri, built, profile_of({"a": 0, "b": 0, "c": 0}))
+        build_lottery(tri, built, profile)
 
 
 def test_lottery_reuses_the_profile_flow_of_its_own_network(hub15):
     built = build_indivisible(hub15)
     profile = egalitarian_profile(built)
     assert build_lottery(hub15, built, profile).flow is profile.flow
-    bare = build_lottery(hub15, built, UtilityProfile(profile.values))
-    assert bare.flow is not profile.flow
-    assert bare.to_json() == build_lottery(hub15, built, profile).to_json()
+    with pytest.raises(MechanismError, match="no flow of this construction"):
+        build_lottery(hub15, built, UtilityProfile(profile.values))
 
 
-def test_lottery_solves_again_for_a_flow_of_another_network(tri):
+def test_lottery_rejects_a_flow_of_another_network(tri):
     # the divisible rule's profile carries a flow of the doubled network
     profile, _ = egalitarian_divisible(tri)
-    with pytest.raises(MechanismError, match="not realizable"):
+    with pytest.raises(MechanismError, match="no flow of this construction"):
         build_lottery(tri, build_indivisible(tri), profile)
 
 

@@ -14,6 +14,7 @@ from fairmatch import (
     build_divisible,
     build_indivisible,
     cli,
+    egalitarian_divisible,
     egalitarian_lp,
     egalitarian_profile,
     flows,
@@ -127,6 +128,13 @@ def test_egalitarian_profile_searches_hub15(hub15, residual_searches, build, max
     assert residual_searches["searches"] <= max_searches
 
 
+def test_egalitarian_divisible_searches_hub15(hub15, residual_searches):
+    # the pinned flow augments from the fill's last flow: solving it from zero
+    # took 59 residual searches in all
+    egalitarian_divisible(hub15)
+    assert residual_searches["searches"] <= 40
+
+
 @pytest.fixture
 def cold_solves(monkeypatch):
     counts = {"cold": 0}
@@ -146,6 +154,14 @@ def test_every_fill_solves_from_zero_once(hub15, cold_solves, build):
     for inst in (hub15, path_instance(30, tuple(range(10, 40))), seeded_instance(*MEMBERS[0])):
         cold_solves["cold"] = 0
         egalitarian_profile(build(inst))
+        assert cold_solves["cold"] == 1, inst.name
+
+
+def test_egalitarian_divisible_solves_from_zero_once(hub15, cold_solves):
+    # the fill's first probe; the pinned flow starts from the fill's last flow
+    for inst in (hub15, path_instance(30, tuple(range(10, 40))), seeded_instance(*MEMBERS[0])):
+        cold_solves["cold"] = 0
+        egalitarian_divisible(inst)
         assert cold_solves["cold"] == 1, inst.name
 
 
@@ -206,3 +222,4 @@ def test_verify_searches_no_more_than_the_outcome(hub15, hub15_file, searches, c
     searches["blossom"] = 0
     assert cli.main(["verify", hub15_file]) == 0
     assert searches["blossom"] <= outcome_searches
+
