@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 from typing import Mapping
 
 Arc = tuple[str, str]
@@ -95,20 +95,20 @@ class Flow:
         ]
 
 
-def _residual(net: FlowNetwork, values: Mapping[Arc, Fraction], u: str, v: str) -> Fraction | None:
-    """Residual capacity from u to v; None means unbounded. A missing arc or
-    flow value counts as 0."""
+def _residual(caps: Mapping, values: Mapping, u: str, v: str) -> Fraction | int | None:
+    """Residual capacity from u to v under ``caps`` (the arcs or their scaled
+    copy); None means unbounded. A missing arc or flow value counts as 0."""
     back = values.get((v, u), 0)
-    if (u, v) not in net.arcs:
+    if (u, v) not in caps:
         return back
-    cap = net.arcs[(u, v)]
+    cap = caps[(u, v)]
     return None if cap is None else cap - values.get((u, v), 0) + back
 
 
-def _search(net: FlowNetwork, values: Mapping[Arc, Fraction], backward: bool = False) -> dict[str, str]:
-    """BFS parent map of the residual network of ``values``: forward from the
-    source, or backward from the sink (along residual arcs into each node).
-    Stops once it reaches the other terminal."""
+def _search(net: FlowNetwork, caps: Mapping, values: Mapping, backward: bool = False) -> dict[str, str]:
+    """BFS parent map of the residual network of ``values`` under ``caps``:
+    forward from the source, or backward from the sink (along residual arcs
+    into each node). Stops once it reaches the other terminal."""
     start, goal = (net.sink, net.source) if backward else (net.source, net.sink)
     nbrs = net.neighbors
     parent = {start: start}
@@ -118,7 +118,7 @@ def _search(net: FlowNetwork, values: Mapping[Arc, Fraction], backward: bool = F
         for v in nbrs[u]:
             if v in parent:
                 continue
-            spare = _residual(net, values, v, u) if backward else _residual(net, values, u, v)
+            spare = _residual(caps, values, v, u) if backward else _residual(caps, values, u, v)
             if spare is None or spare > 0:
                 parent[v] = u
                 queue.append(v)
@@ -153,7 +153,7 @@ def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
         raise FlowError("flow value does not match net outflow of the source")
 
 
-def _cancel_excess(net: FlowNetwork, values: dict[Arc, Fraction]) -> Fraction:
+def _cancel_excess(net: FlowNetwork, caps: Mapping[Arc, int], values: dict[Arc, int]) -> int:
     """Bring every terminal arc down to its cap: cancel the flow it carries above
     the cap along shortest paths of positive-flow arcs, searched in
     ``net.neighbors`` order. Arcs out of the source go first, each along paths
@@ -163,11 +163,11 @@ def _cancel_excess(net: FlowNetwork, values: dict[Arc, Fraction]) -> Fraction:
     nbrs = net.neighbors
     terminal_arcs = [(source, head) for head in nbrs[source]]
     terminal_arcs += [(tail, sink) for tail in nbrs[sink]]
-    cancelled = Fraction(0)
+    cancelled = 0
     for arc in terminal_arcs:
         tail, head = arc
         start, goal = (head, sink) if tail == source else (source, tail)
-        excess = values[arc] - net.arcs[arc]
+        excess = values[arc] - caps[arc]
         while excess > 0:
             parent = {start: start}
             queue = deque([start])
@@ -188,6 +188,10 @@ def _cancel_excess(net: FlowNetwork, values: dict[Arc, Fraction]) -> Fraction:
     return cancelled
 
 
+def _unscaled(values: Mapping[Arc, int], total: int, scale: int) -> Flow:
+    return Flow(values={arc: Fraction(x, scale) for arc, x in values.items()}, value=Fraction(total, scale))
+
+
 def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     """Maximum flow by shortest augmenting paths; integral whenever capacities
     and ``start`` are.
@@ -197,21 +201,33 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     arcs (out of the source or into the sink) may carry more than their caps;
     that excess is cancelled first (see :func:`_cancel_excess`). Raises :class:`FlowError` when the excess
     cannot be cancelled or ``start`` is infeasible in any other way.
+
+    The search runs on ints: caps and ``start`` times their common denominator,
+    which keeps the same paths; the flow is divided back once, at the end.
     """
-    values: dict[Arc, Fraction] = {arc: Fraction(0) for arc in net.arcs}
-    total = Fraction(0)
+    finite = [cap for cap in net.arcs.values() if cap is not None]
     if start is not None:
-        values.update(start.values)
-        total = start.value - _cancel_excess(net, values)
-        _check_feasible(net, Flow(values=values, value=total))
+        for arc, x in [*start.values.items(), (None, start.value)]:
+            if not isinstance(x, (int, Fraction)):
+                where = "start value" if arc is None else f"arc {arc!r}: start flow"
+                raise FlowError(f"{where} {x!r} is not an int or a Fraction")
+        finite += [*start.values.values(), start.value]
+    scale = lcm(*{x.denominator for x in finite})
+    caps = {arc: None if c is None else c.numerator * (scale // c.denominator) for arc, c in net.arcs.items()}
+    values = dict.fromkeys(net.arcs, 0)
+    total = 0
+    if start is not None:
+        values.update((arc, x.numerator * (scale // x.denominator)) for arc, x in start.values.items())
+        total = start.value.numerator * (scale // start.value.denominator) - _cancel_excess(net, caps, values)
+        _check_feasible(net, _unscaled(values, total, scale))
     while True:
-        parent = _search(net, values)
+        parent = _search(net, caps, values)
         if net.sink not in parent:
-            return Flow(values=values, value=total)
+            return _unscaled(values, total, scale)
         path = _tree_path(parent, net.sink)
-        bottleneck: Fraction | None = None
+        bottleneck: int | None = None
         for u, v in path:
-            spare = _residual(net, values, u, v)
+            spare = _residual(caps, values, u, v)
             if spare is not None and (bottleneck is None or spare < bottleneck):
                 bottleneck = spare
         if bottleneck is None:
@@ -233,7 +249,7 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
     _check_feasible(net, flow)
-    reachable = _search(net, flow.values)
+    reachable = _search(net, net.arcs, flow.values)
     if net.sink in reachable:
         raise FlowError("flow is not maximum: augmenting path exists")
     return frozenset(reachable)
@@ -242,7 +258,7 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The maximal minimum cut (source side): nodes that cannot reach the sink."""
     _check_feasible(net, flow)
-    reaches_sink = _search(net, flow.values, backward=True)
+    reaches_sink = _search(net, net.arcs, flow.values, backward=True)
     if net.source in reaches_sink:
         raise FlowError("flow is not maximum: augmenting path exists")
     return frozenset(net.neighbors.keys() - reaches_sink.keys())

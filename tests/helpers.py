@@ -29,6 +29,7 @@ from fairmatch import (
     maximal_min_cut,
     min_cut,
 )
+from fairmatch.flows import FlowError, _check_feasible, _residual, _search, _tree_path
 from fairmatch.matching import gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.mechanism import (
     SINK,
@@ -227,6 +228,69 @@ def reversed_network(net: FlowNetwork) -> FlowNetwork:
         sink=net.source,
         arcs={(v, u): cap for (u, v), cap in net.arcs.items()},
     )
+
+
+def _reference_cancel_excess(net: FlowNetwork, values: dict[tuple[str, str], Fraction]) -> Fraction:
+    """``fairmatch.flows._cancel_excess`` on exact ``Fraction`` flow values."""
+    source, sink = net.source, net.sink
+    nbrs = net.neighbors
+    terminal_arcs = [(source, head) for head in nbrs[source]]
+    terminal_arcs += [(tail, sink) for tail in nbrs[sink]]
+    cancelled = Fraction(0)
+    for arc in terminal_arcs:
+        tail, head = arc
+        start, goal = (head, sink) if tail == source else (source, tail)
+        excess = values[arc] - net.arcs[arc]
+        while excess > 0:
+            parent = {start: start}
+            queue = deque([start])
+            while queue and goal not in parent:
+                u = queue.popleft()
+                for v in nbrs[u]:
+                    if v not in parent and values.get((u, v), 0) > 0:
+                        parent[v] = u
+                        queue.append(v)
+            if goal not in parent:
+                raise FlowError(f"arc {arc!r}: cannot cancel the flow above its cap")
+            path = _tree_path(parent, goal)
+            amount = min([excess, *(values[a] for a in path)])
+            for a in [arc, *path]:
+                values[a] -= amount
+            excess -= amount
+            cancelled += amount
+    return cancelled
+
+
+def reference_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
+    """Shortest augmenting paths with every residual, bottleneck and flow value
+    a ``Fraction``; the reference for the scaled-integer ``max_flow``, which
+    must return the same flow, key order included."""
+    values: dict[tuple[str, str], Fraction] = {arc: Fraction(0) for arc in net.arcs}
+    total = Fraction(0)
+    if start is not None:
+        values.update(start.values)
+        total = start.value - _reference_cancel_excess(net, values)
+        _check_feasible(net, Flow(values=values, value=total))
+    while True:
+        parent = _search(net, net.arcs, values)
+        if net.sink not in parent:
+            return Flow(values=values, value=total)
+        path = _tree_path(parent, net.sink)
+        bottleneck: Fraction | None = None
+        for u, v in path:
+            spare = _residual(net.arcs, values, u, v)
+            if spare is not None and (bottleneck is None or spare < bottleneck):
+                bottleneck = spare
+        if bottleneck is None:
+            raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
+        for u, v in path:
+            back = values.get((v, u), 0)
+            cancel = min(bottleneck, back)
+            if cancel:
+                values[(v, u)] = back - cancel
+            if bottleneck - cancel:
+                values[(u, v)] += bottleneck - cancel
+        total += bottleneck
 
 
 def direct_bipartite_rule(

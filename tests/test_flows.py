@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from helpers import (
     hub15_instance,
     is_integral,
     reference_egalitarian_profile,
+    reference_max_flow,
     reversed_network,
 )
 
@@ -252,9 +255,10 @@ def test_decompose_random_fractional_max_flows(seed):
         assert is_maximum(integral_net, member)
 
 
-def _layered_network(rng: random.Random) -> FlowNetwork:
+def _layered_network(rng: random.Random, max_denominator: int = 3) -> FlowNetwork:
     """Source, three layers of 2-4 nodes, sink; arcs only between consecutive
-    layers, the inner ones sometimes unbounded."""
+    layers, the inner ones sometimes unbounded. Finite caps are 0-9 over 1 to
+    ``max_denominator``."""
     layers = [["s"]] + [
         [f"l{depth}n{i}" for i in range(rng.randint(2, 4))] for depth in range(3)
     ] + [["t"]]
@@ -265,7 +269,7 @@ def _layered_network(rng: random.Random) -> FlowNetwork:
             for v in heads:
                 if terminal or rng.random() < 0.6:
                     unbounded = not terminal and rng.random() < 0.3
-                    arcs[(u, v)] = None if unbounded else Fraction(rng.randint(0, 9), rng.randint(1, 3))
+                    arcs[(u, v)] = None if unbounded else Fraction(rng.randint(0, 9), rng.randint(1, max_denominator))
     return FlowNetwork("s", "t", arcs)
 
 
@@ -337,6 +341,80 @@ def test_warm_start_rejects_infeasible_start():
         max_flow(net.with_caps({("s", "a"): 1}), start=stranded)
     with pytest.raises(FlowError, match="missing arc"):
         max_flow(net, start=Flow(values={("a", "s"): Fraction(0)}, value=Fraction(0)))
+
+
+def _same_as_reference(net: FlowNetwork, start: Flow | None = None) -> Flow:
+    flow = max_flow(net, start)
+    reference = reference_max_flow(net, start)
+    assert list(flow.values.items()) == list(reference.values.items())
+    assert flow.value == reference.value
+    return flow
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_scaled_solver_matches_fraction_reference(chunk):
+    # 300 layered networks with cap denominators 1-12, zero caps and unbounded
+    # inner arcs. The integer search takes the Fraction search's paths, so cold
+    # and warm solves return the same flow, arc by arc and in the same key order
+    factors = {"s": (0, Fraction(1, 3), Fraction(5, 7), 1, 2), "t": (0, Fraction(1, 2), Fraction(4, 11), 1)}
+    both_excess = 0
+    for seed in range(30 * chunk, 30 * chunk + 30):
+        rng = random.Random(f"scaled/{seed}")
+        net = _layered_network(rng, max_denominator=12)
+        start = _same_as_reference(net)
+        capped = net.with_caps({
+            arc: cap * rng.choice(factors["s" if arc[0] == "s" else "t"])
+            for arc, cap in net.arcs.items()
+            if "s" in arc or "t" in arc
+        })
+        _same_as_reference(capped)
+        _same_as_reference(capped, start)
+        over = [arc for arc, cap in capped.arcs.items() if cap is not None and start.values[arc] > cap]
+        both_excess += any(u == "s" for u, _ in over) and any(v == "t" for _, v in over)
+    assert both_excess >= 5
+
+
+def test_scaled_solver_edge_cases():
+    assert max_flow(simple_net({})) == reference_max_flow(simple_net({})) == Flow({}, Fraction(0))
+    zeros = simple_net({("s", "a"): 0, ("a", "b"): None, ("b", "t"): 0, ("s", "t"): 0})
+    assert _same_as_reference(zeros).value == 0
+    # caps 1/p for the 25 primes below 100: the common denominator exceeds 2^120
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    assert len(primes) == 25 and prod(primes) > 2**120
+    arcs = {}
+    for p, q in zip(primes, primes[1:] + primes[:1]):
+        arcs[("s", f"p{p}")] = Fraction(1, p)
+        arcs[(f"p{p}", "m")] = None
+        arcs[(f"p{p}", "t")] = Fraction(1, 2 * q)
+    arcs[("m", "t")] = Fraction(1, 3)
+    reciprocal = simple_net(arcs)
+    assert _same_as_reference(reciprocal).value.denominator > 2**60
+    # integral caps, a start in sevenths that ships 2/7 too much on a source
+    # arc and on a sink arc
+    sevenths = simple_net({
+        ("s", "a"): 3, ("s", "b"): 2, ("a", "c"): 2, ("b", "c"): 2, ("a", "t"): 1, ("c", "t"): 3,
+    })
+    start = Flow(
+        values={
+            ("s", "a"): Fraction(9, 7), ("s", "b"): Fraction(3, 7), ("a", "c"): Fraction(5, 7),
+            ("b", "c"): Fraction(3, 7), ("a", "t"): Fraction(4, 7), ("c", "t"): Fraction(8, 7),
+        },
+        value=Fraction(12, 7),
+    )
+    assert _same_as_reference(sevenths, start).value == 4
+    lowered = sevenths.with_caps({("s", "a"): 1, ("c", "t"): Fraction(6, 7)})
+    assert _same_as_reference(lowered, start).value == Fraction(13, 7)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1"])
+def test_warm_start_rejects_values_that_are_not_rational(bad):
+    net = simple_net({("s", "a"): 3, ("a", "t"): 2})
+    on_arc = Flow(values={("s", "a"): bad, ("a", "t"): Fraction(1, 2)}, value=Fraction(1, 2))
+    with pytest.raises(FlowError, match=re.escape("arc ('s', 'a')")):
+        max_flow(net, start=on_arc)
+    as_value = Flow(values={("s", "a"): Fraction(1, 2), ("a", "t"): Fraction(1, 2)}, value=bad)
+    with pytest.raises(FlowError, match="start value"):
+        max_flow(net, start=as_value)
 
 
 @pytest.mark.parametrize("build", [build_indivisible, build_divisible])

@@ -6,6 +6,8 @@ Counts go through every binding of a function (``fairmatch.flows`` and the
 modules that import it), so a repeated solve fails here without any timing.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from fairmatch import (
@@ -133,6 +135,32 @@ def test_egalitarian_divisible_searches_hub15(hub15, residual_searches):
     # took 59 residual searches in all
     egalitarian_divisible(hub15)
     assert residual_searches["searches"] <= 40
+
+
+FRACTION_OPS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+def test_cold_max_flow_makes_no_fraction_arithmetic(hub15, build):
+    # the search runs on caps scaled to ints; the Fraction search made 1,100 and
+    # 1,749 Fraction operations on hub15's indivisible and divisible networks
+    net = build(hub15).network
+    counts = {"ops": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FRACTION_OPS:
+            original = getattr(Fraction, name)
+
+            def counted(*args, _original=original):
+                counts["ops"] += 1
+                return _original(*args)
+
+            patch.setattr(Fraction, name, counted)
+        flow = flows.max_flow(net)
+    assert flow.value > 0
+    assert counts["ops"] == 0
 
 
 @pytest.fixture
