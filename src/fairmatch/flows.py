@@ -4,7 +4,7 @@ fractional maximum flow into a convex combination of integral maximum flows."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -19,11 +19,13 @@ class FlowError(ValueError):
     """Invalid network, flow, or decomposition arguments."""
 
 
-def _coerce_cap(arc: Arc, cap) -> Fraction | None:
+def _coerce_cap(arc: Arc, cap, terminal: bool) -> Fraction | None:
     if cap is UNBOUNDED:
+        if terminal:
+            raise FlowError(f"unbounded capacity on terminal-incident arc {arc!r}")
         return None
     value = Fraction(cap)
-    if value < 0:
+    if value.numerator < 0:
         raise FlowError(f"arc {arc!r}: negative capacity {cap!r}")
     return value
 
@@ -48,10 +50,7 @@ class FlowNetwork:
                 raise FlowError(f"arc into the source: {arc!r}")
             if u == self.sink:
                 raise FlowError(f"arc out of the sink: {arc!r}")
-            value = _coerce_cap(arc, cap)
-            if value is None and (u == self.source or v == self.sink):
-                raise FlowError(f"unbounded capacity on terminal-incident arc {arc!r}")
-            coerced[arc] = value
+            coerced[arc] = _coerce_cap(arc, cap, u == self.source or v == self.sink)
         object.__setattr__(self, "arcs", coerced)
 
     @cached_property
@@ -66,23 +65,28 @@ class FlowNetwork:
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
         """A copy with some arc capacities replaced. The arc set is unchanged, so
-        the copy shares this network's neighbor lists."""
+        only the new caps are checked, and the copy shares this network's
+        already coerced caps and its neighbor lists."""
         unknown = set(overrides) - set(self.arcs)
         if unknown:
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
         arcs = dict(self.arcs)
-        arcs.update(overrides)
-        copy = FlowNetwork(self.source, self.sink, arcs)
-        copy.__dict__["neighbors"] = self.neighbors
+        for (u, v), cap in overrides.items():
+            arcs[(u, v)] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+        copy = object.__new__(FlowNetwork)
+        copy.__dict__.update(source=self.source, sink=self.sink, arcs=arcs, neighbors=self.neighbors)
         return copy
 
 
 @dataclass(frozen=True)
 class Flow:
-    """A feasible flow: exact arc values plus the value shipped source to sink."""
+    """A feasible flow: exact arc values plus the value shipped source to sink.
+    A flow returned by :func:`max_flow` also carries ``cut``, the source side
+    of the minimal minimum cut that certifies it."""
 
     values: dict[Arc, Fraction]
     value: Fraction
+    cut: frozenset[str] | None = field(default=None, compare=False, repr=False)
 
     def on(self, u: str, v: str) -> Fraction:
         return self.values.get((u, v), Fraction(0))
@@ -135,22 +139,56 @@ def _tree_path(parent: dict[str, str], v: str) -> list[Arc]:
     return path
 
 
-def _check_feasible(net: FlowNetwork, flow: Flow) -> None:
-    balance: dict[str, Fraction] = {}
-    for arc, x in flow.values.items():
-        if arc not in net.arcs:
+def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tuple[int, dict, dict[Arc, int], int]:
+    """``scale``, the common denominator of the finite caps and of ``flow``, and
+    the caps (unbounded stays None), arc values and value times ``scale``, as
+    the ints every search and check of this module runs on."""
+    finite = [cap for cap in net.arcs.values() if cap is not None]
+    if flow is not None:
+        names = ("start value", "start flow") if as_start else ("flow value", "flow")
+        for arc, x in [*flow.values.items(), (None, flow.value)]:
+            if not isinstance(x, (int, Fraction)):
+                where = names[0] if arc is None else f"arc {arc!r}: {names[1]}"
+                raise FlowError(f"{where} {x!r} is not an int or a Fraction")
+        finite += [*flow.values.values(), flow.value]
+    scale = lcm(*{x.denominator for x in finite})
+    caps = {arc: None if c is None else c.numerator * (scale // c.denominator) for arc, c in net.arcs.items()}
+    if flow is None:
+        return scale, caps, {}, 0
+    values = {arc: x.numerator * (scale // x.denominator) for arc, x in flow.values.items()}
+    return scale, caps, values, flow.value.numerator * (scale // flow.value.denominator)
+
+
+def _certify(net: FlowNetwork, caps: Mapping, values: Mapping[Arc, int], total: int, scale: int, side=None) -> None:
+    """Raise :class:`FlowError` unless ``values`` is a feasible flow of value
+    ``total`` under ``caps``, all scaled by ``scale``. Given a source ``side``
+    (``values`` then holds every arc), also unless the arcs leaving it have
+    capacity ``total``: no flow ships more than any cut's capacity (weak
+    duality; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section 6.5), so
+    the flow is maximum and the cut minimum."""
+    balance: dict[str, int] = {}
+    crossing = 0
+    for arc, x in values.items():
+        if arc not in caps:
             raise FlowError(f"flow on missing arc {arc!r}")
-        cap = net.arcs[arc]
+        cap = caps[arc]
         if x < 0 or (cap is not None and x > cap):
-            raise FlowError(f"arc {arc!r}: flow {x} outside [0, {cap}]")
+            bound = None if cap is None else Fraction(cap, scale)
+            raise FlowError(f"arc {arc!r}: flow {Fraction(x, scale)} outside [0, {bound}]")
         u, v = arc
-        balance[u] = balance.get(u, Fraction(0)) - x
-        balance[v] = balance.get(v, Fraction(0)) + x
+        balance[u] = balance.get(u, 0) - x
+        balance[v] = balance.get(v, 0) + x
+        if side is not None and u in side and v not in side:
+            if cap is None:
+                raise FlowError(f"flow is not maximum: unbounded arc {arc!r} leaves its cut")
+            crossing += cap
     for node, net_in in balance.items():
-        if node not in (net.source, net.sink) and net_in != 0:
-            raise FlowError(f"conservation violated at {node!r} (imbalance {net_in})")
-    if balance.get(net.source, Fraction(0)) != -flow.value:
+        if node not in (net.source, net.sink) and net_in:
+            raise FlowError(f"conservation violated at {node!r} (imbalance {Fraction(net_in, scale)})")
+    if balance.get(net.source, 0) != -total:
         raise FlowError("flow value does not match net outflow of the source")
+    if side is not None and crossing != total:
+        raise FlowError("flow is not maximum: its cut has more capacity than its value")
 
 
 def _cancel_excess(net: FlowNetwork, caps: Mapping[Arc, int], values: dict[Arc, int]) -> int:
@@ -188,10 +226,6 @@ def _cancel_excess(net: FlowNetwork, caps: Mapping[Arc, int], values: dict[Arc, 
     return cancelled
 
 
-def _unscaled(values: Mapping[Arc, int], total: int, scale: int) -> Flow:
-    return Flow(values={arc: Fraction(x, scale) for arc, x in values.items()}, value=Fraction(total, scale))
-
-
 def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     """Maximum flow by shortest augmenting paths; integral whenever capacities
     and ``start`` are.
@@ -203,27 +237,25 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     cannot be cancelled or ``start`` is infeasible in any other way.
 
     The search runs on ints: caps and ``start`` times their common denominator,
-    which keeps the same paths; the flow is divided back once, at the end.
+    which keeps the same paths. The last search reaches the nodes of the
+    minimal minimum cut; the flow is certified against that cut on the same
+    ints (see :func:`_certify`), then divided back once and returned with it.
     """
-    finite = [cap for cap in net.arcs.values() if cap is not None]
-    if start is not None:
-        for arc, x in [*start.values.items(), (None, start.value)]:
-            if not isinstance(x, (int, Fraction)):
-                where = "start value" if arc is None else f"arc {arc!r}: start flow"
-                raise FlowError(f"{where} {x!r} is not an int or a Fraction")
-        finite += [*start.values.values(), start.value]
-    scale = lcm(*{x.denominator for x in finite})
-    caps = {arc: None if c is None else c.numerator * (scale // c.denominator) for arc, c in net.arcs.items()}
+    scale, caps, given, total = _scaled(net, start, as_start=True)
     values = dict.fromkeys(net.arcs, 0)
-    total = 0
     if start is not None:
-        values.update((arc, x.numerator * (scale // x.denominator)) for arc, x in start.values.items())
-        total = start.value.numerator * (scale // start.value.denominator) - _cancel_excess(net, caps, values)
-        _check_feasible(net, _unscaled(values, total, scale))
+        values.update(given)
+        total -= _cancel_excess(net, caps, values)
+        _certify(net, caps, values, total, scale)
     while True:
         parent = _search(net, caps, values)
         if net.sink not in parent:
-            return _unscaled(values, total, scale)
+            _certify(net, caps, values, total, scale, side=parent)
+            return Flow(
+                values={arc: Fraction(x, scale) for arc, x in values.items()},
+                value=Fraction(total, scale),
+                cut=frozenset(parent),
+            )
         path = _tree_path(parent, net.sink)
         bottleneck: int | None = None
         for u, v in path:
@@ -242,14 +274,20 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         total += bottleneck
 
 
+def _feasible(net: FlowNetwork, flow: Flow) -> tuple[dict, dict[Arc, int]]:
+    """The scaled caps and values of ``flow``, checked feasible."""
+    scale, caps, values, total = _scaled(net, flow)
+    _certify(net, caps, values, total, scale)
+    return caps, values
+
+
 def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The minimal minimum cut (source side): nodes the source reaches in the
     residual network, certified against ``flow``.
 
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
-    _check_feasible(net, flow)
-    reachable = _search(net, net.arcs, flow.values)
+    reachable = _search(net, *_feasible(net, flow))
     if net.sink in reachable:
         raise FlowError("flow is not maximum: augmenting path exists")
     return frozenset(reachable)
@@ -257,8 +295,7 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The maximal minimum cut (source side): nodes that cannot reach the sink."""
-    _check_feasible(net, flow)
-    reaches_sink = _search(net, net.arcs, flow.values, backward=True)
+    reaches_sink = _search(net, *_feasible(net, flow), backward=True)
     if net.source in reaches_sink:
         raise FlowError("flow is not maximum: augmenting path exists")
     return frozenset(net.neighbors.keys() - reaches_sink.keys())

@@ -356,10 +356,15 @@ class UtilityProfile:
     breakpoints: tuple[Breakpoint, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        coerced = {node: Fraction(x) for node, x in self.values.items()}
-        for node, x in coerced.items():
+        # Equal values share one Fraction: a profile holds few distinct values,
+        # and callers may keep many profiles.
+        shared: dict[Fraction, Fraction] = {}
+        coerced = {}
+        for node, x in self.values.items():
+            x = shared.setdefault(x, x if isinstance(x, Fraction) else Fraction(x))
             if x < 0:
                 raise InstanceError(f"node {node!r}: negative utility {x}")
+            coerced[node] = x
         object.__setattr__(self, "values", coerced)
 
     def __getitem__(self, node: str) -> Fraction:

@@ -297,8 +297,8 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             deficit = sum(caps.values(), Fraction(0)) - flow.value
             if not deficit:
                 break
-            # On a certified minimum cut the deficit is the cut side's excess.
-            cut_side = min_cut(capped, flow)
+            # On the minimum cut max_flow certified, the deficit is the cut side's excess.
+            cut_side = flow.cut
             cut_caps = [caps[supply_arcs[a]] for a in active if supply_arcs[a][1] in cut_side]
             lowered = _lowered_cap(cut_caps, deficit)
             if not previous_break <= lowered < lam:
@@ -384,9 +384,11 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
         raise MechanismError("profile is not realizable by a divisible maximum flow")
     profile = replace(filled, flow=flow)
     exchange: dict[tuple[str, str], Fraction] = {}
+    shared: dict[Fraction, Fraction] = {}  # equal amounts share one Fraction
     for edge in inst.edges:
         u, v = edge
-        exchange[edge] = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
+        amount = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
+        exchange[edge] = shared.setdefault(amount, amount)
     for node in inst.nodes:
         induced = sum(
             (amount for edge, amount in exchange.items() if node in edge), Fraction(0)

@@ -32,8 +32,12 @@ FIXTURES = Path(__file__).with_name("fixtures.json")
 
 # (seed, nodes, average degree).  The seeds are ones whose instance has an
 # under-demanded component of two or more agents, so the component sinks of the
-# indivisible construction are exercised too.
-MEMBERS = ((36, 20, 2.2), (15, 24, 2.3), (4, 24, 2.3), (69, 28, 2.2), (48, 32, 2.2))
+# indivisible construction are exercised too.  The last two carry the check
+# past 32 nodes.
+MEMBERS = (
+    (36, 20, 2.2), (15, 24, 2.3), (4, 24, 2.3), (69, 28, 2.2), (48, 32, 2.2),
+    (24, 80, 2.2), (75, 160, 2.2),
+)
 
 
 def seeded_instance(seed: int, n: int, degree: float) -> Instance:

@@ -29,7 +29,7 @@ from fairmatch import (
     maximal_min_cut,
     min_cut,
 )
-from fairmatch.flows import FlowError, _check_feasible, _residual, _search, _tree_path
+from fairmatch.flows import FlowError, _residual, _search, _tree_path
 from fairmatch.matching import gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.mechanism import (
     SINK,
@@ -230,6 +230,27 @@ def reversed_network(net: FlowNetwork) -> FlowNetwork:
     )
 
 
+def reference_check_feasible(net: FlowNetwork, flow: Flow) -> None:
+    """Feasibility of ``flow`` checked in ``Fraction``s; the reference for the
+    scaled-integer check in ``fairmatch.flows``, which must raise the same
+    messages in the same cases."""
+    balance: dict[str, Fraction] = {}
+    for arc, x in flow.values.items():
+        if arc not in net.arcs:
+            raise FlowError(f"flow on missing arc {arc!r}")
+        cap = net.arcs[arc]
+        if x < 0 or (cap is not None and x > cap):
+            raise FlowError(f"arc {arc!r}: flow {x} outside [0, {cap}]")
+        u, v = arc
+        balance[u] = balance.get(u, Fraction(0)) - x
+        balance[v] = balance.get(v, Fraction(0)) + x
+    for node, net_in in balance.items():
+        if node not in (net.source, net.sink) and net_in != 0:
+            raise FlowError(f"conservation violated at {node!r} (imbalance {net_in})")
+    if balance.get(net.source, Fraction(0)) != -flow.value:
+        raise FlowError("flow value does not match net outflow of the source")
+
+
 def _reference_cancel_excess(net: FlowNetwork, values: dict[tuple[str, str], Fraction]) -> Fraction:
     """``fairmatch.flows._cancel_excess`` on exact ``Fraction`` flow values."""
     source, sink = net.source, net.sink
@@ -270,7 +291,7 @@ def reference_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     if start is not None:
         values.update(start.values)
         total = start.value - _reference_cancel_excess(net, values)
-        _check_feasible(net, Flow(values=values, value=total))
+        reference_check_feasible(net, Flow(values=values, value=total))
     while True:
         parent = _search(net, net.arcs, values)
         if net.sink not in parent:

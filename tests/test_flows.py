@@ -13,17 +13,19 @@ from fairmatch import (
     build_indivisible,
     decompose_max_flow,
     egalitarian_profile,
+    flows,
     max_flow,
     maximal_min_cut,
     min_cut,
 )
-from fairmatch.flows import Flow, is_maximum
+from fairmatch.flows import Flow, _search, is_maximum
 
 from golden.record import seeded_instance
 from helpers import (
     diamond_instance,
     hub15_instance,
     is_integral,
+    reference_check_feasible,
     reference_egalitarian_profile,
     reference_max_flow,
     reversed_network,
@@ -348,6 +350,8 @@ def _same_as_reference(net: FlowNetwork, start: Flow | None = None) -> Flow:
     reference = reference_max_flow(net, start)
     assert list(flow.values.items()) == list(reference.values.items())
     assert flow.value == reference.value
+    # the returned cut is what the Fraction search reaches on the reference flow
+    assert flow.cut == frozenset(_search(net, net.arcs, reference.values))
     return flow
 
 
@@ -412,6 +416,8 @@ def test_warm_start_rejects_values_that_are_not_rational(bad):
     on_arc = Flow(values={("s", "a"): bad, ("a", "t"): Fraction(1, 2)}, value=Fraction(1, 2))
     with pytest.raises(FlowError, match=re.escape("arc ('s', 'a')")):
         max_flow(net, start=on_arc)
+    with pytest.raises(FlowError, match=re.escape("arc ('s', 'a'): flow")):
+        min_cut(net, on_arc)
     as_value = Flow(values={("s", "a"): Fraction(1, 2), ("a", "t"): Fraction(1, 2)}, value=bad)
     with pytest.raises(FlowError, match="start value"):
         max_flow(net, start=as_value)
@@ -427,3 +433,95 @@ def test_warm_fill_matches_cold_fill_at_scale(build, seed, n):
     cold = reference_egalitarian_profile(construction)
     assert warm == cold
     assert warm.breakpoints == cold.breakpoints
+
+
+def test_certificate_rejects_a_flow_one_path_short(monkeypatch):
+    # the solver's last augmenting search is made to miss the sink: the flow is
+    # feasible, and the cut certificate refuses it because no cut is that small
+    short = simple_net({("s", "t"): 3})
+    scale, caps, values, total = flows._scaled(short, Flow({("s", "t"): Fraction(2)}, Fraction(2)))
+    with pytest.raises(FlowError, match="not maximum"):
+        flows._certify(short, caps, values, total, scale, side={"s"})
+    flows._certify(short, caps, {("s", "t"): 3}, 3, scale, side={"s"})
+    original = flows._search
+    refused = 0
+    for seed in range(60):
+        net = _layered_network(random.Random(f"short/{seed}"), max_denominator=12)
+        counts = {"searches": 0}
+
+        def counted(*args, **kwargs):
+            counts["searches"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "_search", counted)
+        if max_flow(net).value == 0:
+            continue
+        last_augmenting = counts["searches"] - 1
+
+        def missing_the_sink(*args, **kwargs):
+            counts["searches"] += 1
+            parent = original(*args, **kwargs)
+            if counts["searches"] == last_augmenting:
+                del parent[net.sink]
+            return parent
+
+        counts["searches"] = 0
+        monkeypatch.setattr(flows, "_search", missing_the_sink)
+        with pytest.raises(FlowError, match="not maximum"):
+            max_flow(net)
+        refused += 1
+    assert refused >= 40
+
+
+def _verdict(check, net: FlowNetwork, flow: Flow) -> str | None:
+    try:
+        check(net, flow)
+    except FlowError as exc:
+        return str(exc)
+    return None
+
+
+def _int_check(net: FlowNetwork, flow: Flow) -> None:
+    scale, caps, values, total = flows._scaled(net, flow)
+    flows._certify(net, caps, values, total, scale)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_int_check_gives_the_fraction_verdict(chunk):
+    # feasible flows (maximum ones, sparse ones, ones a path short) and flows
+    # broken in one way each: the check on scaled ints raises exactly when the
+    # Fraction check does, with the same message
+    verdicts = {"feasible": 0, "infeasible": 0}
+    for seed in range(50 * chunk, 50 * chunk + 50):
+        rng = random.Random(f"verdict/{seed}")
+        net = _layered_network(rng, max_denominator=12)
+        flow = reference_max_flow(net)
+        arcs = list(net.arcs)
+        arc = rng.choice(arcs)
+        nudge = Fraction(rng.randint(1, 5), rng.randint(1, 13))
+        candidates = [
+            flow,
+            Flow({a: x for a, x in flow.values.items() if x}, flow.value),
+            Flow({**flow.values, arc: flow.values[arc] + nudge}, flow.value),
+            Flow({**flow.values, arc: -nudge}, flow.value),
+            Flow({**flow.values, arc: net.arcs[arc] + nudge if net.arcs[arc] is not None else -1}, flow.value),
+            Flow(flow.values, flow.value + nudge),
+            Flow({**flow.values, (arc[1], arc[0]): Fraction(0)}, flow.value),
+        ]
+        path = [a for a in arcs if a[0] == "s" and flow.values[a]]
+        if path:
+            # half the smallest flow taken off one flow path: still feasible
+            tail, head = path[0]
+            walk = [(tail, head)]
+            while head != "t":
+                head = next(v for (u, v) in arcs if u == head and flow.values[(u, v)])
+                walk.append((walk[-1][1], head))
+            amount = min(flow.values[a] for a in walk) / 2
+            candidates.append(
+                Flow({a: x - amount if a in walk else x for a, x in flow.values.items()}, flow.value - amount)
+            )
+        for candidate in candidates:
+            expected = _verdict(reference_check_feasible, net, candidate)
+            assert _verdict(_int_check, net, candidate) == expected
+            verdicts["feasible" if expected is None else "infeasible"] += 1
+    assert min(verdicts.values()) >= 100

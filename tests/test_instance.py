@@ -208,6 +208,13 @@ def test_utility_profile_validation():
         UtilityProfile({"a": Fraction(-1)})
 
 
+def test_utility_profile_shares_equal_values():
+    # kept profiles hold one Fraction per distinct value, and ints become Fractions
+    profile = UtilityProfile({"a": Fraction(2, 3), "b": Fraction(4, 6), "c": 1, "d": Fraction(1)})
+    assert profile["a"] is profile["b"] and profile["c"] is profile["d"]
+    assert type(profile["c"]) is Fraction and profile["c"] == 1
+
+
 def test_rational_formatting():
     assert format_rational(Fraction(7, 3)) == "7/3"
     assert format_rational(Fraction(2)) == "2/1"

@@ -160,6 +160,9 @@ def test_divisible_pinned_flow_at_scale(seed, n):
         assert flow.on(*demand_arcs[node]) == profile[node]
     assert is_maximum(built.network, flow)
     assert all(amount >= 0 for amount in exchange.values())
+    # equal amounts and equal utilities share one Fraction each
+    assert len({id(x) for x in exchange.values()}) == len(set(exchange.values()))
+    assert len({id(x) for x in profile.values.values()}) == len(set(profile.values.values()))
     for node in inst.nodes:
         induced = sum((amount for edge, amount in exchange.items() if node in edge), F(0))
         assert induced == profile[node]
