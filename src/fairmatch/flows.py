@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import lcm
 from typing import Mapping
 
 Arc = tuple[str, str]
@@ -333,34 +333,34 @@ class ConvexCombination:
 def _integral_flow_in_box(
     net: FlowNetwork,
     lower: dict[Arc, int],
-    upper: dict[Arc, int],
+    loose: Mapping[Arc, int],
     value: int,
 ) -> dict[Arc, int]:
-    """An integral flow of the given value with lower <= g <= upper on every arc.
+    """An integral flow of the given value with lower <= g <= lower + 1 on the
+    ``loose`` arcs and g == lower on every other arc.
 
     Standard lower-bound reduction: shift out the lower bounds, force the value
     with a zero-slack return arc, and saturate the induced super-source.
     """
     super_source, super_sink = "@@box_source", "@@box_sink"
     excess: dict[str, int] = {}
-    helper_arcs: dict[Arc, Fraction | None] = {}
+    helper_arcs: dict[Arc, int] = {}
     for arc, lo in lower.items():
-        hi = upper[arc]
         u, v = arc
-        if hi - lo:
-            helper_arcs[("n:" + u, "n:" + v)] = Fraction(hi - lo)
+        if arc in loose:
+            helper_arcs[("n:" + u, "n:" + v)] = 1
         excess[v] = excess.get(v, 0) + lo
         excess[u] = excess.get(u, 0) - lo
     excess[net.source] = excess.get(net.source, 0) + value
     excess[net.sink] = excess.get(net.sink, 0) - value
-    helper_arcs[("n:" + net.sink, "n:" + net.source)] = Fraction(0)
+    helper_arcs[("n:" + net.sink, "n:" + net.source)] = 0
     need = 0
     for node, amount in excess.items():
         if amount > 0:
-            helper_arcs[(super_source, "n:" + node)] = Fraction(amount)
+            helper_arcs[(super_source, "n:" + node)] = amount
             need += amount
         elif amount < 0:
-            helper_arcs[("n:" + node, super_sink)] = Fraction(-amount)
+            helper_arcs[("n:" + node, super_sink)] = -amount
     helper = FlowNetwork(super_source, super_sink, helper_arcs)
     solved = max_flow(helper)
     if solved.value != need:
@@ -368,7 +368,7 @@ def _integral_flow_in_box(
     result: dict[Arc, int] = {}
     for arc, lo in lower.items():
         u, v = arc
-        shifted = solved.values.get(("n:" + u, "n:" + v), Fraction(0))
+        shifted = solved.values.get(("n:" + u, "n:" + v), 0)
         if shifted.denominator != 1:
             raise FlowError("box flow came out fractional")
         result[arc] = lo + int(shifted)
@@ -383,54 +383,51 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     rounding box [floor(f), ceil(f)], peel it with the largest weight that keeps
     the remainder inside the box, and recurse. Each peel pins at least one
     fractional arc to an integer, so the support has at most #arcs + 1 members.
+
+    The peeling runs on ints: ``rest`` (the unpeeled flow) and ``left`` (its
+    weight) times the flow's common denominator, so the remainder is
+    ``rest / left``. Each member is certified against the input's minimum cut.
     """
     for arc, cap in net.arcs.items():
         if cap is not None and cap.denominator != 1:
             raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
-    if not is_maximum(net, flow):
-        raise FlowError("decomposition requires a maximum flow")
+    try:
+        cut = min_cut(net, flow)
+    except FlowError as exc:
+        raise FlowError("decomposition requires a maximum flow") from exc
     if flow.value.denominator != 1:
         raise FlowError("maximum flow value is fractional despite integer capacities")
     target = int(flow.value)
+    _, caps, _, _ = _scaled(net, None)
+    scale, _, scaled, _ = _scaled(net, flow)
 
-    current = {arc: flow.values.get(arc, Fraction(0)) for arc in net.arcs}
-    remaining = Fraction(1)
+    rest = {arc: scaled.get(arc, 0) for arc in net.arcs}
+    left = scale
     entries: list[tuple[Flow, Fraction]] = []
     for _ in range(len(net.arcs) + 1):
-        fractional = [arc for arc, x in current.items() if x.denominator != 1]
-        if not fractional:
-            member = Flow(values=dict(current), value=Fraction(target))
-            if not is_maximum(net, member):
-                raise FlowError("peeled member is not a maximum flow")
-            entries.append((member, remaining))
+        lower: dict[Arc, int] = {}
+        loose: dict[Arc, int] = {}
+        for arc, x in rest.items():
+            lower[arc], r = divmod(x, left)
+            if r:
+                loose[arc] = r
+        if loose:
+            integral = _integral_flow_in_box(net, lower, loose, target)
+            weight = min(r if integral[arc] > lower[arc] else left - r for arc, r in loose.items())
+        else:
+            integral, weight = lower, left
+        _certify(net, caps, integral, target, 1, side=cut)
+        member = Flow(values={arc: Fraction(g) for arc, g in integral.items()}, value=Fraction(target))
+        entries.append((member, Fraction(weight, scale)))
+        for arc, g in integral.items():
+            rest[arc] -= weight * g
+        left -= weight
+        if not left:
             break
-        lower = {arc: floor(x) for arc, x in current.items()}
-        upper = {arc: ceil(x) for arc, x in current.items()}
-        integral = _integral_flow_in_box(net, lower, upper, target)
-        theta = Fraction(1)
-        for arc in fractional:
-            frac = current[arc] - lower[arc]
-            bound = frac if integral[arc] == upper[arc] else 1 - frac
-            theta = min(theta, bound)
-        if not 0 < theta < 1:
-            raise FlowError("peeling made no progress")
-        member = Flow(
-            values={arc: Fraction(g) for arc, g in integral.items()},
-            value=Fraction(target),
-        )
-        if not is_maximum(net, member):
-            raise FlowError("peeled member is not a maximum flow")
-        entries.append((member, theta * remaining))
-        current = {
-            arc: (x - theta * integral[arc]) / (1 - theta) for arc, x in current.items()
-        }
-        remaining *= 1 - theta
     else:
         raise FlowError("decomposition failed to terminate")
 
-    combo = ConvexCombination(entries=tuple(entries))
-    recombined = combo.combined_values()
-    for arc in net.arcs:
-        if recombined.get(arc, Fraction(0)) != flow.values.get(arc, Fraction(0)):
+    for arc, x in rest.items():
+        if x:
             raise FlowError(f"decomposition does not reproduce the flow on arc {arc!r}")
-    return combo
+    return ConvexCombination(entries=tuple(entries))

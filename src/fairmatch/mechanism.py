@@ -19,7 +19,6 @@ from .flows import (
     decompose_max_flow,
     max_flow,
     maximal_min_cut,
-    min_cut,
 )
 from .instance import BMatching, Instance, InstanceError, UtilityProfile, canonical_edge
 from .matching import GedDecomposition, ged_decompose, realize_targets
@@ -188,7 +187,7 @@ def _sup_full_shipping(
     deficit, flow, capped = _full_shipping_deficit(net, const_caps, linear_arcs, hi)
     current = hi
     while deficit > 0:
-        cut_side = min_cut(capped, flow)
+        cut_side = flow.cut
         supply_const = sum(const_caps.values(), Fraction(0))
         supply_coef = len(linear_arcs)
         cut_const = Fraction(0)

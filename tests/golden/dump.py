@@ -1,0 +1,110 @@
+"""One sha256 per instance of everything the mechanism outputs, to show that a
+change leaves every output byte-identical to another checkout's.
+
+The instances are the benchmark's 50 (the ``perfbench/families.py`` members
+of ``mid-random``, ``big-peaks`` and ``cli-small``, on their canonical labels)
+plus the test suite's hub15. Each hash covers the GED classes, both profiles
+with their breakpoints, the lottery (``Lottery.to_json()`` and its
+decomposition's members and weights), both profiles' flows and the divisible
+exchange in key order, and, on the ``cli-small`` instances, the output of
+``lottery``, ``sample``, ``verify`` and ``solve --dump-flow``.
+
+Run it on the checkout at ROOT (its ``src`` and ``perfbench`` are imported)::
+
+    PYTHONHASHSEED=0 python tests/golden/dump.py ROOT > dump-0.txt
+
+and compare the output for two checkouts, or two hash seeds, with ``diff``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HELPERS = Path(__file__).resolve().parents[1]
+
+
+def _rational(x) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _flow(flow) -> list:
+    return [[u, v, _rational(x)] for (u, v), x in flow.values.items()] + [_rational(flow.value)]
+
+
+def _profile(profile) -> dict:
+    return {
+        "profile": profile.to_json_dict(),
+        "breakpoints": [
+            [_rational(b.lam), b.kind, sorted(b.bottleneck), sorted(b.image)] for b in profile.breakpoints
+        ],
+        "flow": _flow(profile.flow),
+    }
+
+
+def library_outputs(fairmatch, inst) -> dict:
+    outcome = fairmatch.indivisible_outcome(inst)
+    profile, exchange = fairmatch.egalitarian_divisible(inst)
+    return {
+        "ged": outcome.ged.to_json_dict(),
+        "indivisible": _profile(outcome.profile),
+        "lottery": outcome.lottery.to_json(),
+        "members": [[_flow(member), _rational(w)] for member, w in outcome.lottery.combination.entries],
+        "divisible": _profile(profile),
+        "exchange": [[u, v, _rational(x)] for (u, v), x in exchange.items()],
+    }
+
+
+def cli_outputs(fairmatch, inst, workdir: Path) -> list:
+    path = workdir / "instance.json"
+    path.write_text(json.dumps(inst.to_json_dict()))
+    outputs = []
+    for argv in (
+        ["lottery"],
+        ["sample", "--samples", "20", "--seed", "7"],
+        ["verify"],
+        ["solve", "--model", "indivisible", "--dump-flow"],
+        ["solve", "--model", "divisible", "--dump-flow"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = fairmatch.cli.main([*argv, str(path)])
+        outputs.append([argv, code, out.getvalue().replace(str(path), "INSTANCE")])
+    return outputs
+
+
+def _digest(content) -> str:
+    return hashlib.sha256(json.dumps(content).encode()).hexdigest()
+
+
+def main(root: Path) -> None:
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(HELPERS)]
+    import fairmatch
+    import fairmatch.cli
+    import families
+    from helpers import hub15_instance
+
+    cases = [
+        (workload, base)
+        for workload in ("mid-random", "big-peaks", "cli-small")
+        for base in families.family(workload)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, base in cases:
+            inst = fairmatch.Instance.build(base.name, list(base.peaks.items()), list(base.edges))
+            content = library_outputs(fairmatch, inst)
+            if workload == "cli-small":
+                content["cli"] = cli_outputs(fairmatch, inst, Path(tmp))
+            print(f"{workload}/{base.name}", _digest(content))
+        print("tests/hub15", _digest(library_outputs(fairmatch, hub15_instance())))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: dump.py ROOT")
+    main(Path(sys.argv[1]).resolve())

@@ -8,11 +8,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from collections import deque
+from math import ceil, floor
 from itertools import combinations, permutations, product
 from typing import Iterable
 
 from fairmatch import (
     BMatching,
+    ConvexCombination,
     ExpandedInstance,
     Flow,
     FlowNetwork,
@@ -29,7 +31,7 @@ from fairmatch import (
     maximal_min_cut,
     min_cut,
 )
-from fairmatch.flows import FlowError, _residual, _search, _tree_path
+from fairmatch.flows import FlowError, _residual, _search, _tree_path, is_maximum
 from fairmatch.matching import gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.mechanism import (
     SINK,
@@ -312,6 +314,105 @@ def reference_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
             if bottleneck - cancel:
                 values[(u, v)] += bottleneck - cancel
         total += bottleneck
+
+
+def _reference_integral_flow_in_box(
+    net: FlowNetwork,
+    lower: dict[tuple[str, str], int],
+    upper: dict[tuple[str, str], int],
+    value: int,
+) -> dict[tuple[str, str], int]:
+    """An integral flow of the given value with lower <= g <= upper on every arc,
+    by the lower-bound reduction on a helper network with ``Fraction`` caps."""
+    super_source, super_sink = "@@box_source", "@@box_sink"
+    excess: dict[str, int] = {}
+    helper_arcs: dict[tuple[str, str], Fraction | None] = {}
+    for arc, lo in lower.items():
+        hi = upper[arc]
+        u, v = arc
+        if hi - lo:
+            helper_arcs[("n:" + u, "n:" + v)] = Fraction(hi - lo)
+        excess[v] = excess.get(v, 0) + lo
+        excess[u] = excess.get(u, 0) - lo
+    excess[net.source] = excess.get(net.source, 0) + value
+    excess[net.sink] = excess.get(net.sink, 0) - value
+    helper_arcs[("n:" + net.sink, "n:" + net.source)] = Fraction(0)
+    need = 0
+    for node, amount in excess.items():
+        if amount > 0:
+            helper_arcs[(super_source, "n:" + node)] = Fraction(amount)
+            need += amount
+        elif amount < 0:
+            helper_arcs[("n:" + node, super_sink)] = Fraction(-amount)
+    helper = FlowNetwork(super_source, super_sink, helper_arcs)
+    solved = max_flow(helper)
+    if solved.value != need:
+        raise FlowError("no integral maximum flow inside the rounding box")
+    result: dict[tuple[str, str], int] = {}
+    for arc, lo in lower.items():
+        u, v = arc
+        shifted = solved.values.get(("n:" + u, "n:" + v), Fraction(0))
+        if shifted.denominator != 1:
+            raise FlowError("box flow came out fractional")
+        result[arc] = lo + int(shifted)
+    return result
+
+
+def reference_decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
+    """Iterative peeling with the remainder, every weight and the recombination
+    check in ``Fraction``s and a residual search per member; the reference for
+    the scaled-integer ``decompose_max_flow``, which must return the same
+    members and weights in the same order."""
+    for arc, cap in net.arcs.items():
+        if cap is not None and cap.denominator != 1:
+            raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
+    if not is_maximum(net, flow):
+        raise FlowError("decomposition requires a maximum flow")
+    if flow.value.denominator != 1:
+        raise FlowError("maximum flow value is fractional despite integer capacities")
+    target = int(flow.value)
+
+    current = {arc: flow.values.get(arc, Fraction(0)) for arc in net.arcs}
+    remaining = Fraction(1)
+    entries: list[tuple[Flow, Fraction]] = []
+    for _ in range(len(net.arcs) + 1):
+        fractional = [arc for arc, x in current.items() if x.denominator != 1]
+        if not fractional:
+            member = Flow(values=dict(current), value=Fraction(target))
+            if not is_maximum(net, member):
+                raise FlowError("peeled member is not a maximum flow")
+            entries.append((member, remaining))
+            break
+        lower = {arc: floor(x) for arc, x in current.items()}
+        upper = {arc: ceil(x) for arc, x in current.items()}
+        integral = _reference_integral_flow_in_box(net, lower, upper, target)
+        theta = Fraction(1)
+        for arc in fractional:
+            frac = current[arc] - lower[arc]
+            bound = frac if integral[arc] == upper[arc] else 1 - frac
+            theta = min(theta, bound)
+        if not 0 < theta < 1:
+            raise FlowError("peeling made no progress")
+        member = Flow(
+            values={arc: Fraction(g) for arc, g in integral.items()},
+            value=Fraction(target),
+        )
+        if not is_maximum(net, member):
+            raise FlowError("peeled member is not a maximum flow")
+        entries.append((member, theta * remaining))
+        current = {
+            arc: (x - theta * integral[arc]) / (1 - theta) for arc, x in current.items()
+        }
+        remaining *= 1 - theta
+    else:
+        raise FlowError("decomposition failed to terminate")
+
+    combo = ConvexCombination(entries=tuple(entries))
+    recombined = combo.combined_values()
+    for arc in net.arcs:
+        if recombined.get(arc, Fraction(0)) != flow.values.get(arc, Fraction(0)):
+            raise FlowError(f"decomposition does not reproduce the flow on arc {arc!r}")
+    return combo
 
 
 def direct_bipartite_rule(

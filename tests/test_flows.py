@@ -20,12 +20,13 @@ from fairmatch import (
 )
 from fairmatch.flows import Flow, _search, is_maximum
 
-from golden.record import seeded_instance
+from golden.record import MEMBERS, seeded_instance
 from helpers import (
     diamond_instance,
     hub15_instance,
     is_integral,
     reference_check_feasible,
+    reference_decompose_max_flow,
     reference_egalitarian_profile,
     reference_max_flow,
     reversed_network,
@@ -212,6 +213,20 @@ def test_decompose_symmetric_half_split():
         (("m", "p"), ("p", "t"), ("s", "m")),
         (("m", "q"), ("q", "t"), ("s", "m")),
     }
+
+
+def test_decompose_certifies_each_member(monkeypatch):
+    # a box flow that leaves the half-split's fractional arcs at their floor
+    # does not conserve flow at m: the member check against the cut refuses it
+    net = simple_net({("s", "m"): 1, ("m", "p"): 1, ("m", "q"): 1, ("p", "t"): 1, ("q", "t"): 1})
+    half = Fraction(1, 2)
+    fractional = Flow(
+        values={("s", "m"): Fraction(1), ("m", "p"): half, ("m", "q"): half, ("p", "t"): half, ("q", "t"): half},
+        value=Fraction(1),
+    )
+    monkeypatch.setattr(flows, "_integral_flow_in_box", lambda net, lower, loose, value: dict(lower))
+    with pytest.raises(FlowError, match="conservation violated at 'm'"):
+        decompose_max_flow(net, fractional)
 
 
 def test_decompose_rejects_bad_inputs():
@@ -421,6 +436,55 @@ def test_warm_start_rejects_values_that_are_not_rational(bad):
     as_value = Flow(values={("s", "a"): Fraction(1, 2), ("a", "t"): Fraction(1, 2)}, value=bad)
     with pytest.raises(FlowError, match="start value"):
         max_flow(net, start=as_value)
+
+
+def _same_decomposition_as_reference(net: FlowNetwork, flow: Flow) -> int:
+    combo = decompose_max_flow(net, flow)
+    reference = reference_decompose_max_flow(net, flow)
+    assert [(list(m.values.items()), m.value, w) for m, w in combo.entries] == [
+        (list(m.values.items()), m.value, w) for m, w in reference.entries
+    ]
+    return len(combo.entries)
+
+
+def _relabeled_max_flow(net: FlowNetwork, rng: random.Random) -> Flow:
+    """An integral maximum flow of ``net`` found with its inner nodes renamed in
+    a random order: the search visits neighbors in name order, so it takes
+    other paths."""
+    inner = [node for node in net.neighbors if node not in (net.source, net.sink)]
+    rename = {net.source: net.source, net.sink: net.sink}
+    rename.update((node, f"x{k:02d}") for node, k in zip(inner, rng.sample(range(len(inner)), len(inner))))
+    back = {new: old for old, new in rename.items()}
+    renamed = FlowNetwork(net.source, net.sink, {(rename[u], rename[v]): cap for (u, v), cap in net.arcs.items()})
+    flow = max_flow(renamed)
+    return Flow(values={(back[u], back[v]): x for (u, v), x in flow.values.items()}, value=flow.value)
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_scaled_decomposition_matches_fraction_reference(chunk):
+    # 300 layered integer-cap networks; each flow mixes 3-5 integral maximum
+    # flows at random weights over a common denominator of up to 16. Peeling on
+    # ints picks the same boxes, members and weights as peeling on Fractions
+    rounds = []
+    for seed in range(30 * chunk, 30 * chunk + 30):
+        rng = random.Random(f"peel/{seed}")
+        net = _layered_network(rng, max_denominator=1)
+        solved = [_relabeled_max_flow(net, rng) for _ in range(rng.randint(3, 5))]
+        denominator = rng.randint(len(solved), 16)
+        cuts = sorted(rng.sample(range(1, denominator), len(solved) - 1))
+        weights = [Fraction(b - a, denominator) for a, b in zip([0, *cuts], [*cuts, denominator])]
+        mixed = Flow(
+            values={arc: sum((w * f.values[arc] for f, w in zip(solved, weights)), Fraction(0)) for arc in net.arcs},
+            value=solved[0].value,
+        )
+        rounds.append(_same_decomposition_as_reference(net, mixed))
+    assert max(rounds) >= 4 and sum(r >= 3 for r in rounds) >= 10
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=[f"golden-{seed}" for seed, _, _ in MEMBERS])
+def test_scaled_decomposition_matches_reference_on_golden_lotteries(member):
+    construction = build_indivisible(seeded_instance(*member))
+    _same_decomposition_as_reference(construction.network, egalitarian_profile(construction).flow)
 
 
 @pytest.mark.parametrize("build", [build_indivisible, build_divisible])

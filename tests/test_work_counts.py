@@ -63,6 +63,13 @@ def test_egalitarian_profile_makes_no_min_cut_call(hub15, calls, build):
     assert calls["min_cut"] == 0
 
 
+def test_egalitarian_lp_makes_no_min_cut_call(hub15, calls):
+    # each Newton step reads the cut that max_flow returns: searching it again
+    # took one min_cut call per construction
+    egalitarian_lp(build_indivisible(hub15))
+    assert calls["min_cut"] == 0
+
+
 def test_verify_decomposes_hub15_once(hub15_file, calls, capsys):
     assert cli.main(["verify", hub15_file]) == 0
     assert calls["decompose_max_flow"] == 1
@@ -106,9 +113,12 @@ def test_indivisible_outcome_solves_hub15(hub15, calls):
 
 
 def test_indivisible_outcome_certifies_hub15_flows_once(hub15, calls):
-    # the pinned flow once, then each of the lottery's three members
+    # the decomposition takes the fill's flow's cut once and certifies each of
+    # the lottery's three members against it: a residual search per member
+    # took 4 is_maximum calls
     indivisible_outcome(hub15)
-    assert calls["is_maximum"] <= 4
+    assert calls["is_maximum"] == 0
+    assert calls["min_cut"] == 1
 
 
 def test_manipulation_builds_no_lottery(hub15, calls):
@@ -193,6 +203,27 @@ def test_fill_makes_no_fraction_arithmetic_in_flows(hub15, build):
         profile = egalitarian_profile(construction)
     assert profile.total > 0 and counts["elsewhere"] > 0
     assert counts["flows"] == 0
+
+
+def test_decomposition_makes_almost_no_fraction_arithmetic_in_flows(hub15):
+    # the peels run on ints scaled by the flow's common denominator; left are
+    # ConvexCombination's weight checks (10 for three members) and the value
+    # check of each of the two box solves. Peeling on Fractions made 693
+    construction = build_indivisible(hub15)
+    flow = egalitarian_profile(construction).flow
+    counts = {"flows": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FRACTION_OPS:
+            original = getattr(Fraction, name)
+
+            def counted(*args, _original=original):
+                counts["flows"] += sys._getframe(1).f_code.co_filename == flows.__file__
+                return _original(*args)
+
+            patch.setattr(Fraction, name, counted)
+        combination = flows.decompose_max_flow(construction.network, flow)
+    assert len(combination.entries) == 3
+    assert counts["flows"] <= 12
 
 
 @pytest.fixture
