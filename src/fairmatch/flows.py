@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
+from .instance import _exact, format_rational
+
 Arc = tuple[str, str]
 #: Unbounded capacity sentinel. Never allowed on source- or sink-incident arcs.
 UNBOUNDED = None
@@ -24,6 +26,8 @@ def _coerce_cap(arc: Arc, cap, terminal: bool) -> Fraction | None:
         if terminal:
             raise FlowError(f"unbounded capacity on terminal-incident arc {arc!r}")
         return None
+    if not _exact(cap):
+        raise FlowError(f"arc {arc!r}: capacity {cap!r} is not an int or a Fraction")
     value = Fraction(cap)
     if value.numerator < 0:
         raise FlowError(f"arc {arc!r}: negative capacity {cap!r}")
@@ -93,7 +97,7 @@ class Flow:
 
     def to_json(self) -> list[dict]:
         return [
-            {"from": u, "to": v, "amount": f"{x.numerator}/{x.denominator}"}
+            {"from": u, "to": v, "amount": format_rational(x)}
             for (u, v), x in sorted(self.values.items())
             if x
         ]
@@ -147,7 +151,7 @@ def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tupl
     if flow is not None:
         names = ("start value", "start flow") if as_start else ("flow value", "flow")
         for arc, x in [*flow.values.items(), (None, flow.value)]:
-            if not isinstance(x, (int, Fraction)):
+            if not _exact(x):
                 where = names[0] if arc is None else f"arc {arc!r}: {names[1]}"
                 raise FlowError(f"{where} {x!r} is not an int or a Fraction")
         finite += [*flow.values.values(), flow.value]

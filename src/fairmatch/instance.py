@@ -43,6 +43,11 @@ def canonical_edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _exact(x) -> bool:
+    """Whether ``x`` is an exact number: an int (not a bool) or a Fraction."""
+    return isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool))
+
+
 def format_rational(x: Fraction) -> str:
     """Serialize an exact rational as an explicit ``p/q`` string in lowest terms."""
     return f"{x.numerator}/{x.denominator}"
@@ -118,9 +123,6 @@ class Instance:
     def is_uncapacitated(self) -> bool:
         return not self.capacities
 
-    def capacity(self, u: str, v: str) -> int | None:
-        return self.capacities.get(canonical_edge(u, v))
-
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         """Neighbor lists, sorted for deterministic iteration."""
         nbrs: dict[str, list[str]] = {node: [] for node in self.peaks}
@@ -129,7 +131,7 @@ class Instance:
             nbrs[v].append(u)
         return {node: tuple(sorted(out)) for node, out in nbrs.items()}
 
-    def induced(self, nodes: Iterable[str], name: str | None = None) -> "Instance":
+    def induced(self, nodes: Iterable[str]) -> "Instance":
         """The subinstance induced on ``nodes`` (edges with both endpoints kept)."""
         keep = set(nodes)
         unknown = keep - set(self.peaks)
@@ -139,7 +141,7 @@ class Instance:
         edges = tuple(e for e in self.edges if e[0] in keep and e[1] in keep)
         kept = set(edges)
         caps = {e: c for e, c in self.capacities.items() if e in kept}
-        return Instance(name=name or f"{self.name}[induced]", peaks=peaks, edges=edges, capacities=caps)
+        return Instance(name=f"{self.name}[induced]", peaks=peaks, edges=edges, capacities=caps)
 
     def replace(
         self,
@@ -239,18 +241,19 @@ class ExpandedInstance:
     Copies are consecutive and in node order: ``indices[i]`` is the range of
     node ``i``'s copies, ``owner[c]`` the node of copy ``c``, and ``adj[c]`` the
     sorted copies adjacent to ``c`` (copies of one node share one list; they are
-    never adjacent). The string view, copy ``c`` of node ``i`` named
+    never adjacent). ``base_edges`` are the node edges the copy edges come
+    from. The string view, copy ``c`` of node ``i`` named
     ``i#(c - indices[i].start + 1)``, is built on first use.
 
     Contracting every copy to its node maps the matchings of the expansion
-    onto the b-matchings of ``base``. The map is not a bijection: copies of a
-    node are interchangeable, so many matchings contract to one b-matching.
+    onto the b-matchings with those peaks. The map is not a bijection: copies
+    of a node are interchangeable, so many matchings contract to one b-matching.
     """
 
-    base: Instance
     indices: dict[str, range]
     owner: list[str] = field(repr=False)
     adj: list[list[int]] = field(repr=False)
+    base_edges: tuple[Edge, ...] = field(repr=False)
 
     @cached_property
     def copies(self) -> dict[str, tuple[str, ...]]:
@@ -267,23 +270,21 @@ class ExpandedInstance:
     def edges(self) -> tuple[Edge, ...]:
         copies = self.copies
         return tuple(
-            canonical_edge(cu, cv) for u, v in self.base.edges for cu in copies[u] for cv in copies[v]
+            canonical_edge(cu, cv) for u, v in self.base_edges for cu in copies[u] for cv in copies[v]
         )
 
 
-def expand_nodes(inst: Instance) -> ExpandedInstance:
-    """Expand an uncapacitated instance into its unit-peak copy graph."""
-    if not inst.is_uncapacitated:
-        raise ExpansionError(
-            f"instance {inst.name!r} has finite edge capacities; expansion is unsupported"
-        )
+def expand_nodes(peaks: Mapping[str, int], edges: tuple[Edge, ...]) -> ExpandedInstance:
+    """The unit-peak copy graph of ``peaks`` (copies per node; 0 gives none)
+    over ``edges``, whose endpoints must be keys of ``peaks``. Edge
+    capacities are not modelled: callers check that there are none."""
     indices: dict[str, range] = {}
     owner: list[str] = []
-    for node, peak in inst.peaks.items():
+    for node, peak in peaks.items():
         indices[node] = range(len(owner), len(owner) + peak)
         owner += [node] * peak
     nbrs: dict[str, list[range]] = {node: [] for node in indices}
-    for u, v in inst.edges:
+    for u, v in edges:
         nbrs[u].append(indices[v])
         nbrs[v].append(indices[u])
     adj: list[list[int]] = []
@@ -293,7 +294,7 @@ def expand_nodes(inst: Instance) -> ExpandedInstance:
         for other in nbrs[node]:
             row += other
         adj += [row] * len(span)
-    return ExpandedInstance(base=inst, indices=indices, owner=owner, adj=adj)
+    return ExpandedInstance(indices=indices, owner=owner, adj=adj, base_edges=edges)
 
 
 @dataclass(frozen=True)
@@ -306,9 +307,6 @@ class BMatching:
         for edge, mult in self.multiplicities.items():
             if not isinstance(mult, int) or mult < 0:
                 raise InstanceError(f"edge {edge!r}: multiplicity must be a nonnegative integer")
-
-    def multiplicity(self, u: str, v: str) -> int:
-        return self.multiplicities.get(canonical_edge(u, v), 0)
 
     def utilities(self, inst: Instance) -> dict[str, int]:
         """Per-node utilities x_i induced on ``inst`` (zero for untouched nodes)."""
@@ -344,7 +342,7 @@ class BMatching:
 
 @dataclass(frozen=True)
 class UtilityProfile:
-    """Exact per-agent utilities; values are nonnegative rationals.
+    """Exact per-agent utilities: nonnegative ints or Fractions, kept as Fractions.
 
     A profile made by the water-fill carries its ``flow``, a maximum flow of the
     construction with every supply arc pinned to the agent's value, and its
@@ -361,6 +359,8 @@ class UtilityProfile:
         shared: dict[Fraction, Fraction] = {}
         coerced = {}
         for node, x in self.values.items():
+            if not _exact(x):
+                raise InstanceError(f"node {node!r}: utility {x!r} is not an int or a Fraction")
             x = shared.setdefault(x, x if isinstance(x, Fraction) else Fraction(x))
             if x < 0:
                 raise InstanceError(f"node {node!r}: negative utility {x}")

@@ -109,17 +109,17 @@ def _augment(mate: list[int], parent: list[int], endpoint: int) -> None:
         v = nxt
 
 
-def maximum_matching_indices(n: int, adj: list[list[int]], mate: list[int] | None = None) -> list[int]:
+def maximum_matching_indices(n: int, adj: list[list[int]], mate: list[int]) -> list[int]:
     """Maximum-cardinality matching on an indexed graph; returns the mate array.
 
-    Starts from ``mate`` when given (it is not modified), else from the empty
-    matching. One search per exposed vertex, in index order. A vertex whose
+    Starts from the matching ``mate`` (-1 marks an exposed vertex; it is not
+    modified). One search per exposed vertex, in index order. A vertex whose
     neighbor list equals that of the last root whose search failed is skipped:
     an augmenting path from it would be one from that root too, and a root with
     no augmenting path keeps none after later augmentations. Copies of one agent
     are such twins.
     """
-    mate = [-1] * n if mate is None else list(mate)
+    mate = list(mate)
     failed = None
     for v in range(n):
         if mate[v] == -1 and adj[v] != failed:
@@ -153,26 +153,21 @@ def _spare(peaks: Mapping[str, int], z: Mapping[Edge, int]) -> dict[str, int]:
     return spare
 
 
-def _reduced_graph(inst: Instance, peaks: Mapping[str, int], z: Mapping[Edge, int]):
+def _reduced_graph(peaks: Mapping[str, int], edges: tuple[Edge, ...], z: Mapping[Edge, int]):
     """The copy graph of ``z`` that does not grow with the peaks.
 
     Each agent keeps two copies per edge that ``z`` uses (one if ``z`` uses it
     once), matched to the other endpoint's copies as ``z`` pairs them, and
-    min(spare, 2) exposed copies. Returns the expansion, the mate array of the
-    kept pairs and the kept multiplicities.
+    min(spare, 2) exposed copies; an agent with none of these has no copy.
+    Returns the expansion, the mate array of the kept pairs and the kept
+    multiplicities.
     """
     kept = {edge: min(mult, 2) for edge, mult in z.items()}
     counts = {node: min(spare, 2) for node, spare in _spare(peaks, z).items()}
     for (u, v), pairs in kept.items():
         counts[u] += pairs
         counts[v] += pairs
-    present = {node: count for node, count in counts.items() if count}
-    reduced = Instance(
-        name=inst.name,
-        peaks=present,
-        edges=tuple(e for e in inst.edges if e[0] in present and e[1] in present),
-    )
-    expanded = expand_nodes(reduced)
+    expanded = expand_nodes(counts, edges)
     mate = [-1] * len(expanded.owner)
     free = {node: span.start for node, span in expanded.indices.items()}
     for (u, v), pairs in kept.items():
@@ -204,9 +199,10 @@ def _contract(expanded: ExpandedInstance, mate: list[int], edges: set[Edge]) -> 
     return found
 
 
-def _maximum(inst: Instance):
-    """A maximum b-matching of ``inst``, the reduced copy graph that proves it
-    and that graph's maximum matching.
+def _maximum(peaks: Mapping[str, int], edges: tuple[Edge, ...]):
+    """A maximum b-matching of ``edges`` under ``peaks`` (nonnegative; every
+    endpoint is a key), the reduced copy graph that proves it and that graph's
+    maximum matching.
 
     Copies of one agent are twins, so a shortest augmenting (or even
     alternating) path of the full copy graph meets each agent at most once as
@@ -218,21 +214,17 @@ def _maximum(inst: Instance):
     exactly the full graph's D set on every agent.
 
     z starts from the peaks' high bits: the maximum for floor(b / 2^k), doubled
-    and topped up greedily along ``inst.edges``, seeds level k - 1, so each
-    level needs only O(n) augmentations.
+    and topped up greedily along ``edges``, seeds level k - 1, so each level
+    needs only O(n) augmentations.
     """
-    if not inst.is_uncapacitated:
-        raise ExpansionError(
-            f"instance {inst.name!r} has finite edge capacities; expansion is unsupported"
-        )
-    edge_set = set(inst.edges)
+    edge_set = set(edges)
     z: dict[Edge, int] = {}
-    for shift in reversed(range(max(inst.peaks.values(), default=1).bit_length())):
-        peaks = {node: peak >> shift for node, peak in inst.peaks.items()}
+    for shift in reversed(range(max([1, *peaks.values()]).bit_length())):
+        level = {node: peak >> shift for node, peak in peaks.items()}
         doubled = {edge: 2 * mult for edge, mult in z.items()}
-        spare = _spare(peaks, doubled)
+        spare = _spare(level, doubled)
         z = {}
-        for edge in inst.edges:
+        for edge in edges:
             u, v = edge
             extra = min(spare[u], spare[v])
             spare[u] -= extra
@@ -240,7 +232,7 @@ def _maximum(inst: Instance):
             if mult := doubled.get(edge, 0) + extra:
                 z[edge] = mult
         while True:
-            expanded, mate, kept = _reduced_graph(inst, peaks, z)
+            expanded, mate, kept = _reduced_graph(level, edges, z)
             seeded = mate.count(-1)
             mate = maximum_matching_indices(len(mate), expanded.adj, mate)
             if mate.count(-1) == seeded:
@@ -248,15 +240,23 @@ def _maximum(inst: Instance):
             found = _contract(expanded, mate, edge_set)
             z = {
                 edge: mult
-                for edge in inst.edges
+                for edge in edges
                 if (mult := z.get(edge, 0) - kept.get(edge, 0) + found.get(edge, 0))
             }
     return BMatching(z), expanded, mate
 
 
+def _check_uncapacitated(inst: Instance) -> None:
+    if not inst.is_uncapacitated:
+        raise ExpansionError(
+            f"instance {inst.name!r} has finite edge capacities; expansion is unsupported"
+        )
+
+
 def max_bmatching(inst: Instance) -> BMatching:
     """Maximum-total-utility b-matching, by blossom on the reduced copy graph."""
-    return _maximum(inst)[0]
+    _check_uncapacitated(inst)
+    return _maximum(inst.peaks, inst.edges)[0]
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,8 @@ def ged_decompose(inst: Instance) -> GedDecomposition:
     D is read off the reduced copy graph of a maximum b-matching (see
     `_maximum`), which has the same D set on every agent.
     """
-    matching, expanded, mate = _maximum(inst)
+    _check_uncapacitated(inst)
+    matching, expanded, mate = _maximum(inst.peaks, inst.edges)
     avoidable = gallai_edmonds_indices(len(mate), expanded.adj, mate)
     under = {expanded.owner[i] for i in avoidable}
     for node in under:
@@ -358,13 +359,7 @@ def realize_targets(inst: Instance, targets: Mapping[str, int]) -> BMatching | N
         raise MatchingError("realize_targets requires an uncapacitated instance")
     if total % 2:
         return None
-
-    shrunk = Instance(
-        name=f"{inst.name}[targets]",
-        peaks={node: targets[node] for node in inst.peaks if targets[node]},
-        edges=tuple(edge for edge in inst.edges if targets[edge[0]] and targets[edge[1]]),
-    )
-    matched = max_bmatching(shrunk)
+    matched = _maximum({node: targets[node] for node in inst.peaks}, inst.edges)[0]
     if matched.total_utility != total:
         return None
     matched.check_feasible(inst)

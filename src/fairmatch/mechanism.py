@@ -20,7 +20,7 @@ from .flows import (
     max_flow,
     maximal_min_cut,
 )
-from .instance import BMatching, Instance, InstanceError, UtilityProfile, canonical_edge
+from .instance import BMatching, Instance, InstanceError, UtilityProfile, canonical_edge, format_rational
 from .matching import GedDecomposition, ged_decompose, realize_targets
 
 SOURCE = "@source"
@@ -433,7 +433,7 @@ class Lottery:
 
     def to_json(self) -> list[dict]:
         return [
-            {"prob": f"{p.numerator}/{p.denominator}", "matching": matching.to_json()}
+            {"prob": format_rational(p), "matching": matching.to_json()}
             for matching, p in self.entries
         ]
 
@@ -441,15 +441,13 @@ class Lottery:
 def _matching_from_member(
     inst: Instance,
     construction: BipartiteConstruction,
-    perfect_part: BMatching | None,
+    perfect_part: BMatching,
     components: list[tuple[int, tuple[str, ...], Instance]],
     member: Flow,
 ) -> BMatching:
     """The b-matching of one integral member; ``components`` lists each
     multi-node odd component's index, nodes and induced instance."""
-    multiplicities: dict[tuple[str, str], int] = {}
-    if perfect_part is not None:
-        multiplicities.update(perfect_part.multiplicities)
+    multiplicities = dict(perfect_part.multiplicities)
     for arc, tag in construction.provenance.items():
         if tag[0] == "exchange":
             amount = member.on(*arc)
@@ -503,15 +501,18 @@ def build_lottery(
     except FlowError as exc:
         raise MechanismError(f"the profile's flow does not decompose: {exc}") from exc
 
-    perfect_part: BMatching | None = None
-    if ged.perfect:
-        perfect_nodes = sorted(ged.perfect)
-        perfect_part = realize_targets(
-            inst.induced(perfect_nodes),
-            {node: inst.peaks[node] for node in perfect_nodes},
-        )
-        if perfect_part is None:
-            raise MechanismError("perfectly matched agents cannot be saturated internally")
+    # Every maximum b-matching matches V^P perfectly inside V^P (Gallai-Edmonds
+    # structure theorem), so the decomposition's own matching holds that part.
+    perfect_part = BMatching(
+        {
+            edge: mult
+            for edge, mult in ged.matching.multiplicities.items()
+            if edge[0] in ged.perfect and edge[1] in ged.perfect
+        }
+    )
+    degrees = perfect_part.utilities(inst)
+    if any(degrees[node] != inst.peaks[node] for node in ged.perfect):
+        raise MechanismError("perfectly matched agents cannot be saturated internally")
 
     components = [
         (index, component, inst.induced(component))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .instance import BMatching, Instance, InstanceError, UtilityProfile
+from .instance import BMatching, Instance, InstanceError, UtilityProfile, format_rational
 from .matching import ged_decompose
 from .mechanism import build_indivisible, egalitarian_profile
 from .mechanism import indivisible_outcome  # noqa: F401  kept: perfbench checks this binding
@@ -21,11 +21,9 @@ class OracleSizeError(ValueError):
     """The instance is too large for exhaustive enumeration."""
 
 
-def enumeration_limit(limit: int | None = None) -> int:
-    """Effective enumeration bound: explicit arg, else the environment override,
-    else the default (14 expanded nodes)."""
-    if limit is not None:
-        return limit
+def enumeration_limit() -> int:
+    """Effective enumeration bound: the environment override, else the default
+    (14 expanded nodes)."""
     raw = os.environ.get(ENV_LIMIT)
     if raw is not None:
         try:
@@ -35,13 +33,13 @@ def enumeration_limit(limit: int | None = None) -> int:
     return DEFAULT_ENUMERATION_LIMIT
 
 
-def enumerate_bmatchings(inst: Instance, limit: int | None = None) -> list[BMatching]:
+def enumerate_bmatchings(inst: Instance) -> list[BMatching]:
     """Every feasible b-matching of ``inst``, duplicate-free.
 
     Recursive multiplicity assignment edge by edge with remaining-peak pruning;
     refuses instances whose expanded size (sum of peaks) exceeds the bound.
     """
-    bound = enumeration_limit(limit)
+    bound = enumeration_limit()
     size = sum(inst.peaks.values())
     if size > bound:
         raise OracleSizeError(
@@ -83,12 +81,11 @@ def _profile_tuple(inst: Instance, matching: BMatching) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ParetoSet:
-    """Utility profiles of the maximum-total b-matchings, with one representative
-    matching per profile. Profiles are tuples ordered like ``node_order``."""
+    """Utility profiles of the maximum-total b-matchings. Profiles are tuples
+    ordered like ``node_order``."""
 
     node_order: tuple[str, ...]
     profiles: frozenset[tuple[int, ...]]
-    representatives: dict[tuple[int, ...], BMatching]
 
     def as_profiles(self) -> list[UtilityProfile]:
         return [
@@ -97,28 +94,23 @@ class ParetoSet:
         ]
 
 
-def pareto_profiles(inst: Instance, limit: int | None = None) -> ParetoSet:
+def pareto_profiles(inst: Instance) -> ParetoSet:
     """Profiles of the maximum-total b-matchings (the Pareto set, by equivalence)."""
-    matchings = enumerate_bmatchings(inst, limit)
+    matchings = enumerate_bmatchings(inst)
     best = max((m.total_utility for m in matchings), default=0)
-    profiles: dict[tuple[int, ...], BMatching] = {}
-    for matching in matchings:
-        if matching.total_utility == best:
-            profiles.setdefault(_profile_tuple(inst, matching), matching)
     return ParetoSet(
         node_order=inst.nodes,
-        profiles=frozenset(profiles),
-        representatives=profiles,
+        profiles=frozenset(_profile_tuple(inst, m) for m in matchings if m.total_utility == best),
     )
 
 
-def undominated_profiles(inst: Instance, limit: int | None = None) -> frozenset[tuple[int, ...]]:
+def undominated_profiles(inst: Instance) -> frozenset[tuple[int, ...]]:
     """Pareto-optimal profiles straight from the dominance definition: no other
     feasible profile is weakly better everywhere and strictly better somewhere.
 
     Independent of the maximum-total route; the two must coincide.
     """
-    seen = {_profile_tuple(inst, m) for m in enumerate_bmatchings(inst, limit)}
+    seen = {_profile_tuple(inst, m) for m in enumerate_bmatchings(inst)}
 
     def dominated(profile: tuple[int, ...]) -> bool:
         return any(
@@ -209,9 +201,7 @@ class ManipulationReport:
             "coalition": list(self.coalition),
             "truthful": self.truthful.to_json_dict(),
             "manipulated": self.manipulated.to_json_dict(),
-            "deltas": {
-                agent: f"{d.numerator}/{d.denominator}" for agent, d in sorted(self.deltas.items())
-            },
+            "deltas": {agent: format_rational(d) for agent, d in sorted(self.deltas.items())},
             "gains_under_some_single_peaked": dict(sorted(self.gains_somewhere.items())),
             "verdict": self.verdict,
         }

@@ -1,13 +1,19 @@
-"""One sha256 per instance of everything the mechanism outputs, to show that a
-change leaves every output byte-identical to another checkout's.
+"""One sha256 per part and instance of everything the mechanism outputs, to
+show that a change leaves every output byte-identical to another checkout's,
+and to name the parts that differ when it does not.
 
 The instances are the benchmark's 50 (the ``perfbench/families.py`` members
 of ``mid-random``, ``big-peaks`` and ``cli-small``, on their canonical labels)
-plus the test suite's hub15. Each hash covers the GED classes, both profiles
-with their breakpoints, the lottery (``Lottery.to_json()`` and its
-decomposition's members and weights), both profiles' flows and the divisible
-exchange in key order, and, on the ``cli-small`` instances, the output of
-``lottery``, ``sample``, ``verify`` and ``solve --dump-flow``.
+plus the test suite's hub15. The parts, one output line each:
+
+- ``ged``: the GED classes and components;
+- ``ged.matching``: the maximum b-matching they came from;
+- ``profiles``: both profiles with their breakpoints and flows;
+- ``lottery``: ``Lottery.to_json()``;
+- ``members``: the decomposition's members and weights;
+- ``exchange``: the divisible exchange in key order;
+- ``cli`` (``cli-small`` instances only): the output of ``lottery``,
+  ``sample``, ``verify`` and ``solve --dump-flow``.
 
 Run it on the checkout at ROOT (its ``src`` and ``perfbench`` are imported)::
 
@@ -52,10 +58,10 @@ def library_outputs(fairmatch, inst) -> dict:
     profile, exchange = fairmatch.egalitarian_divisible(inst)
     return {
         "ged": outcome.ged.to_json_dict(),
-        "indivisible": _profile(outcome.profile),
+        "ged.matching": outcome.ged.matching.to_json(),
+        "profiles": {"indivisible": _profile(outcome.profile), "divisible": _profile(profile)},
         "lottery": outcome.lottery.to_json(),
         "members": [[_flow(member), _rational(w)] for member, w in outcome.lottery.combination.entries],
-        "divisible": _profile(profile),
         "exchange": [[u, v, _rational(x)] for (u, v), x in exchange.items()],
     }
 
@@ -82,6 +88,11 @@ def _digest(content) -> str:
     return hashlib.sha256(json.dumps(content).encode()).hexdigest()
 
 
+def _print_parts(label: str, parts: dict) -> None:
+    for part, content in parts.items():
+        print(label, part, _digest(content))
+
+
 def main(root: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(HELPERS)]
     import fairmatch
@@ -97,11 +108,11 @@ def main(root: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for workload, base in cases:
             inst = fairmatch.Instance.build(base.name, list(base.peaks.items()), list(base.edges))
-            content = library_outputs(fairmatch, inst)
+            parts = library_outputs(fairmatch, inst)
             if workload == "cli-small":
-                content["cli"] = cli_outputs(fairmatch, inst, Path(tmp))
-            print(f"{workload}/{base.name}", _digest(content))
-        print("tests/hub15", _digest(library_outputs(fairmatch, hub15_instance())))
+                parts["cli"] = cli_outputs(fairmatch, inst, Path(tmp))
+            _print_parts(f"{workload}/{base.name}", parts)
+        _print_parts("tests/hub15", library_outputs(fairmatch, hub15_instance()))
 
 
 if __name__ == "__main__":

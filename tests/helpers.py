@@ -612,7 +612,7 @@ def max_matching(inst: Instance) -> frozenset[tuple[str, str]]:
         raise MatchingError("max_matching requires unit peaks; use max_bmatching instead")
     nodes = inst.nodes
     _, adj = indexed_graph(nodes, inst.edges)
-    mate = maximum_matching_indices(len(nodes), adj)
+    mate = maximum_matching_indices(len(nodes), adj, [-1] * len(nodes))
     return frozenset(
         canonical_edge(nodes[v], nodes[mate[v]]) for v in range(len(nodes)) if mate[v] > v
     )
@@ -655,10 +655,10 @@ def contract_matching(expanded: ExpandedInstance, matching: Iterable[tuple[str, 
 
 
 def _full_expansion_mate(inst: Instance):
-    expanded = expand_nodes(inst)
+    expanded = expand_nodes(inst.peaks, inst.edges)
     nodes = expanded.copy_nodes
     index, adj = indexed_graph(nodes, expanded.edges)
-    return expanded, nodes, index, adj, maximum_matching_indices(len(nodes), adj)
+    return expanded, nodes, index, adj, maximum_matching_indices(len(nodes), adj, [-1] * len(nodes))
 
 
 def reference_max_bmatching(inst: Instance) -> BMatching:

@@ -425,7 +425,17 @@ def test_scaled_solver_edge_cases():
     assert _same_as_reference(lowered, start).value == Fraction(13, 7)
 
 
-@pytest.mark.parametrize("bad", [0.5, "1"])
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_caps_must_be_ints_or_fractions(bad):
+    # 0.1 would become 3602879701896397/36028797018963968, and True a cap of 1
+    with pytest.raises(FlowError, match=re.escape("arc ('s', 'a'): capacity")):
+        simple_net({("s", "a"): bad, ("a", "t"): 2})
+    net = simple_net({("s", "a"): 3, ("a", "t"): 2})
+    with pytest.raises(FlowError, match=re.escape("arc ('a', 't'): capacity")):
+        net.with_caps({("a", "t"): bad})
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", 0.1, "1/3", True])
 def test_warm_start_rejects_values_that_are_not_rational(bad):
     net = simple_net({("s", "a"): 3, ("a", "t"): 2})
     on_arc = Flow(values={("s", "a"): bad, ("a", "t"): Fraction(1, 2)}, value=Fraction(1, 2))

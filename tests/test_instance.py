@@ -14,6 +14,8 @@ from fairmatch import (
     canonical_edge,
     expand_nodes,
     format_rational,
+    ged_decompose,
+    max_bmatching,
     parse_instance,
 )
 from fairmatch.oracle import enumerate_bmatchings
@@ -88,24 +90,24 @@ def test_json_round_trip():
     inst = Instance.build("caps", [("a", 2), ("b", 3)], [("a", "b", 2)])
     again = parse_instance(json.dumps(inst.to_json_dict()))
     assert again == inst
-    assert again.capacity("a", "b") == 2
+    assert again.capacities == {("a", "b"): 2}
 
 
 def test_expand_unit_triangle_is_identity_shaped(tri):
-    expanded = expand_nodes(tri)
+    expanded = expand_nodes(tri.peaks, tri.edges)
     assert expanded.copy_nodes == ("a#1", "b#1", "c#1")
     assert len(expanded.edges) == 3
 
 
 def test_expand_single_edge_mixed_peaks():
     inst = Instance.build("e", [("a", 2), ("b", 1)], [("a", "b")])
-    expanded = expand_nodes(inst)
+    expanded = expand_nodes(inst.peaks, inst.edges)
     assert expanded.copies == {"a": ("a#1", "a#2"), "b": ("b#1",)}
     assert set(expanded.edges) == {("a#1", "b#1"), ("a#2", "b#1")}
 
 
 def test_expand_hub15_copy_count_is_peak_sum(hub15):
-    expanded = expand_nodes(hub15)
+    expanded = expand_nodes(hub15.peaks, hub15.edges)
     assert sum(hub15.peaks.values()) == 40
     assert len(expanded.copy_nodes) == 40
     for node, copies in expanded.copies.items():
@@ -132,7 +134,7 @@ def test_integer_expansion_matches_its_string_view():
         edges = [(f"n{u}", f"n{v}") for u, v in combinations(labels, 2) if rng.random() < density]
         rng.shuffle(edges)
         inst = Instance.build("random", [(f"n{label}", rng.randint(1, 15)) for label in labels], edges)
-        expanded = expand_nodes(inst)
+        expanded = expand_nodes(inst.peaks, inst.edges)
         assert expanded.adj == indexed_graph(expanded.copy_nodes, expanded.edges)[1]
         assert (expanded.copies, expanded.edges) == _eager_expansion(inst)
         assert [parent(expanded, copy) for copy in expanded.copy_nodes] == expanded.owner
@@ -141,20 +143,22 @@ def test_integer_expansion_matches_its_string_view():
 
 
 def test_expand_rejects_capacitated():
+    # expand_nodes takes no capacities; the b-matching entry points refuse them
     inst = Instance.build("c", [("a", 1), ("b", 1)], [("a", "b", 1)])
-    with pytest.raises(ExpansionError):
-        expand_nodes(inst)
+    for run in (max_bmatching, ged_decompose):
+        with pytest.raises(ExpansionError, match="'c' has finite edge capacities; expansion is unsupported"):
+            run(inst)
 
 
 def test_expanded_copies_of_same_node_never_adjacent():
     inst = Instance.build("m", [("a", 3), ("b", 2)], [("a", "b")])
-    expanded = expand_nodes(inst)
+    expanded = expand_nodes(inst.peaks, inst.edges)
     for u, v in expanded.edges:
         assert parent(expanded, u) != parent(expanded, v)
 
 
 def test_copy_parent_rejects_names_outside_the_expansion():
-    expanded = expand_nodes(Instance.build("e", [("a", 2), ("b", 1)], [("a", "b")]))
+    expanded = expand_nodes({"a": 2, "b": 1}, (("a", "b"),))
     assert parent(expanded, "a#2") == "a"
     for name in ("a#7", "a#3", "a#0", "a#01", "a", "c#1", "#1"):
         with pytest.raises(InstanceError, match="not a copy node"):
@@ -162,20 +166,20 @@ def test_copy_parent_rejects_names_outside_the_expansion():
 
 
 def test_contract_empty_matching(tri):
-    assert contract_matching(expand_nodes(tri), []).multiplicities == {}
+    assert contract_matching(expand_nodes(tri.peaks, tri.edges), []).multiplicities == {}
 
 
 def test_contract_doubled_edge():
     inst = Instance.build("e", [("a", 2), ("b", 2)], [("a", "b")])
-    expanded = expand_nodes(inst)
+    expanded = expand_nodes(inst.peaks, inst.edges)
     matched = contract_matching(expanded, [("a#1", "b#1"), ("a#2", "b#2")])
-    assert matched.multiplicity("a", "b") == 2
+    assert matched.multiplicities == {("a", "b"): 2}
     assert matched.utilities(inst) == {"a": 2, "b": 2}
 
 
 def test_contract_rejects_reused_copy():
     inst = Instance.build("p", [("a", 1), ("b", 2), ("c", 1)], [("a", "b"), ("b", "c")])
-    expanded = expand_nodes(inst)
+    expanded = expand_nodes(inst.peaks, inst.edges)
     with pytest.raises(InstanceError, match="matched twice"):
         contract_matching(expanded, [("a#1", "b#1"), ("b#1", "c#1")])
 
@@ -193,8 +197,8 @@ def test_round_trip_exhaustive_small_instances():
     # Every b-matching lifts to an expanded matching contracting back to itself,
     # and contraction of any expanded matching is feasible.
     for inst in peaked_instances_up_to_iso(max_nodes=4, max_peak=3):
-        expanded = expand_nodes(inst)
-        for matching in enumerate_bmatchings(inst, limit=12):
+        expanded = expand_nodes(inst.peaks, inst.edges)
+        for matching in enumerate_bmatchings(inst):
             lifted = _lift(expanded, matching)
             back = contract_matching(expanded, lifted)
             back.check_feasible(inst)
@@ -206,6 +210,12 @@ def test_utility_profile_validation():
     assert profile.total == 2
     with pytest.raises(InstanceError):
         UtilityProfile({"a": Fraction(-1)})
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3", True])
+def test_utility_profile_values_must_be_ints_or_fractions(bad):
+    with pytest.raises(InstanceError, match="node 'b': utility .* is not an int or a Fraction"):
+        UtilityProfile({"a": Fraction(1, 3), "b": bad})
 
 
 def test_utility_profile_shares_equal_values():

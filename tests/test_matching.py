@@ -38,7 +38,7 @@ def _mate_size(n, edges):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    mate = maximum_matching_indices(n, adj)
+    mate = maximum_matching_indices(n, adj, [-1] * n)
     assert all(mate[mate[v]] == v for v in range(n) if mate[v] != -1)
     return sum(1 for v in range(n) if mate[v] != -1) // 2
 
@@ -60,7 +60,7 @@ def test_blossom_matches_brute_force_random_graphs():
 
 
 def _assert_engine_matches_reference(n, adj):
-    mate = maximum_matching_indices(n, adj)
+    mate = maximum_matching_indices(n, adj, [-1] * n)
     assert mate == reference_maximum_matching(n, adj)
     assert gallai_edmonds_indices(n, adj, mate) == reference_gallai_edmonds(n, adj, mate)
 
@@ -83,7 +83,7 @@ def test_engine_matches_reference_on_copy_graphs():
     rng = random.Random(20261019)
     for _ in range(60):
         inst = random_connected_instance(rng, max_nodes=8, max_peak=12)
-        expanded = expand_nodes(inst)
+        expanded = expand_nodes(inst.peaks, inst.edges)
         _, adj = indexed_graph(expanded.copy_nodes, expanded.edges)
         _assert_engine_matches_reference(len(adj), adj)
 
@@ -130,6 +130,22 @@ def test_reduced_expansion_matches_full_expansion():
             assert realized.utilities(inst) == targets
 
 
+def test_ged_matching_saturates_the_perfect_agents_internally():
+    # Gallai-Edmonds: every maximum b-matching matches V^P perfectly inside V^P,
+    # so the lottery takes its perfect part from the decomposition's matching
+    rng = random.Random(20261021)
+    for _ in range(1000):
+        inst = _random_peaked_instance(rng)
+        ged = ged_decompose(inst)
+        degrees = dict.fromkeys(ged.perfect, 0)
+        for (u, v), mult in ged.matching.multiplicities.items():
+            if u in ged.perfect or v in ged.perfect:
+                assert u in ged.perfect and v in ged.perfect
+                degrees[u] += mult
+                degrees[v] += mult
+        assert degrees == {node: inst.peaks[node] for node in ged.perfect}
+
+
 def test_decomposition_rejects_empty_matching_on_an_edge():
     with pytest.raises(MatchingError, match="not maximum"):
         gallai_edmonds_indices(2, [[1], [0]], [-1, -1])
@@ -145,7 +161,7 @@ def test_decomposition_rejects_trees_that_meet():
 def test_fold_rejects_broken_mate_arrays():
     # copies: a -> 0, b -> 1 and 2, c -> 3
     inst = Instance.build("p", [("a", 1), ("b", 2), ("c", 1)], [("a", "b"), ("b", "c")])
-    expanded, edges = expand_nodes(inst), set(inst.edges)
+    expanded, edges = expand_nodes(inst.peaks, inst.edges), set(inst.edges)
     assert _contract(expanded, [1, 0, 3, 2], edges) == {("a", "b"): 1, ("b", "c"): 1}
     with pytest.raises(MatchingError, match="not symmetric"):
         _contract(expanded, [1, -1, -1, -1], edges)
@@ -217,7 +233,7 @@ def test_max_bmatching_hub15_total_34_with_certificate(hub15):
     # Berge-Tutte witness independent of the solver: removing all copies of
     # {s6, s7} leaves 13 odd components among 33 copies, so no matching
     # exceeds (40 - (13 - 7)) / 2 = 17 edges = 34 utility.
-    expanded = expand_nodes(hub15)
+    expanded = expand_nodes(hub15.peaks, hub15.edges)
     witness = {c for node in ("s6", "s7") for c in expanded.copies[node]}
     components = _expanded_components_without(expanded, witness)
     odd = sum(1 for comp in components if len(comp) % 2)
@@ -228,12 +244,12 @@ def test_max_bmatching_hub15_total_34_with_certificate(hub15):
 
 def test_expanded_and_bmatching_maxima_agree_small():
     for inst in peaked_instances_up_to_iso(max_nodes=3, max_peak=3):
-        expanded = expand_nodes(inst)
+        expanded = expand_nodes(inst.peaks, inst.edges)
         index = {c: i for i, c in enumerate(expanded.copy_nodes)}
         pairs = [(index[u], index[v]) for u, v in expanded.edges]
         brute = brute_force_max_matching_size(len(index), pairs)
         oracle_best = max(
-            (m.total_utility for m in enumerate_bmatchings(inst, limit=12)), default=0
+            (m.total_utility for m in enumerate_bmatchings(inst)), default=0
         )
         assert 2 * brute == oracle_best == max_bmatching(inst).total_utility
 
@@ -263,7 +279,7 @@ def test_ged_unit_triangle_single_odd_component(tri):
 
 
 def _oracle_ged(inst):
-    profiles = pareto_profiles(inst, limit=20).profiles
+    profiles = pareto_profiles(inst).profiles
     order = inst.nodes
     under = {
         node
@@ -280,7 +296,8 @@ def _oracle_ged(inst):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_ged_agrees_with_enumeration_oracle(seed):
+def test_ged_agrees_with_enumeration_oracle(seed, monkeypatch):
+    monkeypatch.setenv("FAIRMATCH_ORACLE_LIMIT", "20")
     inst = random_connected_instance(random.Random(seed), max_nodes=6, max_peak=3)
     ged = ged_decompose(inst)
     under, over, perfect = _oracle_ged(inst)
@@ -292,7 +309,7 @@ def test_ged_agrees_with_enumeration_oracle(seed):
 def test_over_demanded_saturated_in_every_maximum(hub15):
     for inst in peaked_instances_up_to_iso(max_nodes=4, max_peak=2):
         ged = ged_decompose(inst)
-        profiles = pareto_profiles(inst, limit=8).profiles
+        profiles = pareto_profiles(inst).profiles
         for i, node in enumerate(inst.nodes):
             if node in ged.over or node in ged.perfect:
                 assert all(p[i] == inst.peaks[node] for p in profiles)
@@ -305,7 +322,7 @@ def test_odd_component_internal_capacity_matches_oracle():
             if len(comp) < 2:
                 continue
             best = max(
-                m.total_utility for m in enumerate_bmatchings(inst.induced(comp), limit=10)
+                m.total_utility for m in enumerate_bmatchings(inst.induced(comp))
             )
             assert best == ged.internal_caps[k] == sum(inst.peaks[v] for v in comp) - 1
 
@@ -340,7 +357,7 @@ def test_realize_targets_validation(tri):
 @pytest.mark.parametrize("seed", range(25))
 def test_realize_targets_hits_every_enumerated_profile(seed):
     inst = random_connected_instance(random.Random(100 + seed), max_nodes=5, max_peak=2)
-    for matching in enumerate_bmatchings(inst, limit=10):
+    for matching in enumerate_bmatchings(inst):
         targets = matching.utilities(inst)
         realized = realize_targets(inst, targets)
         assert realized is not None

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from fairmatch import (
+    BMatching,
     Instance,
     MechanismError,
     UtilityProfile,
@@ -372,7 +374,7 @@ def test_lottery_hub15_three_equal_entries(hub15):
         assert len(extra) == 1 and len(rest) == 2
         # the extra unit is an exchange with s6
         base = {"s2": 0, "s4": 2, "s5": 2}
-        assert matching.multiplicity(extra[0], "s6") == base[extra[0]] + 1
+        assert matching.multiplicities[(extra[0], "s6")] == base[extra[0]] + 1
         competitors.append(extra[0])
     assert sorted(competitors) == ["s2", "s4", "s5"]
 
@@ -418,6 +420,21 @@ def test_lottery_rejects_non_maximum_profile(tri):
     profile = UtilityProfile({"a": F(0), "b": F(0), "c": F(0)}, flow=zero)
     with pytest.raises(MechanismError, match="maximum"):
         build_lottery(tri, built, profile)
+
+
+def test_lottery_rejects_a_decomposition_that_leaves_perfect_agents_short(hub15):
+    # the perfect part is read off the decomposition's matching: drop one of
+    # its V^P edges and the saturation check must fail
+    ged = ged_decompose(hub15)
+    perfect = {e: m for e, m in ged.matching.multiplicities.items() if set(e) <= ged.perfect}
+    dropped = next(iter(perfect))
+    short = dataclasses.replace(
+        ged,
+        matching=BMatching({e: m for e, m in ged.matching.multiplicities.items() if e != dropped}),
+    )
+    built = build_indivisible(hub15, short)
+    with pytest.raises(MechanismError, match="perfectly matched agents cannot be saturated internally"):
+        build_lottery(hub15, built, egalitarian_profile(built))
 
 
 def test_lottery_reuses_the_profile_flow_of_its_own_network(hub15):
@@ -494,7 +511,7 @@ def test_efficiency_chain_random(seed):
 def test_expected_profile_lorenz_dominates_pareto_random(seed):
     inst = random_connected_instance(random.Random(1700 + seed), max_nodes=5, max_peak=2)
     outcome = indivisible_outcome(inst)
-    for pareto in pareto_profiles(inst, limit=10).as_profiles():
+    for pareto in pareto_profiles(inst).as_profiles():
         assert lorenz_dominates(outcome.profile, pareto)
 
 
@@ -505,7 +522,7 @@ def test_expected_profile_lorenz_dominates_profile_mixtures(seed):
     rng = random.Random(6100 + seed)
     inst = random_connected_instance(rng, max_nodes=5, max_peak=2)
     outcome = indivisible_outcome(inst)
-    vertices = pareto_profiles(inst, limit=10).as_profiles()
+    vertices = pareto_profiles(inst).as_profiles()
     for _ in range(40):
         weights = [F(rng.randint(0, 5)) for _ in vertices]
         total = sum(weights)

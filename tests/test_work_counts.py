@@ -266,8 +266,8 @@ def searches(monkeypatch):
         counts["blossom"] += 1
         return original(*args)
 
-    def counted_expand(inst):
-        expanded = original_expand(inst)
+    def counted_expand(peaks, edges):
+        expanded = original_expand(peaks, edges)
         counts["copy_edges"] += len(expanded.edges)
         return expanded
 
@@ -314,3 +314,41 @@ def test_verify_searches_no_more_than_the_outcome(hub15, hub15_file, searches, c
     assert cli.main(["verify", hub15_file]) == 0
     assert searches["blossom"] <= outcome_searches
 
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    counts = {"instances": 0, "maximum": 0}
+    original_check = Instance.__post_init__
+    original_maximum = matching._maximum
+
+    def counted_check(self):
+        counts["instances"] += 1
+        original_check(self)
+
+    def counted_maximum(*args):
+        counts["maximum"] += 1
+        return original_maximum(*args)
+
+    monkeypatch.setattr(Instance, "__post_init__", counted_check)
+    monkeypatch.setattr(matching, "_maximum", counted_maximum)
+    return counts
+
+
+def test_ged_builds_no_instance(hub15, builds):
+    # the reduced graph of each round is built from its counts: validating an
+    # Instance per round took 4 on hub15
+    ged_decompose(hub15)
+    assert builds["instances"] == 0
+    assert builds["maximum"] == 1
+
+
+def test_indivisible_outcome_solves_perfect_agents_once(hub15, builds):
+    # the lottery's perfect part comes from the decomposition's matching, and
+    # component targets are realized without a shrunk Instance: this took 22
+    # Instance validations and 5 b-matching solves. Left are the decomposition,
+    # one solve per member for the component (s1, s2, s3), and that component's
+    # induced instance
+    indivisible_outcome(hub15)
+    assert builds["instances"] <= 1
+    assert builds["maximum"] == 4
