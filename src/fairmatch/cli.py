@@ -151,12 +151,11 @@ def _verify_checks(inst: Instance, with_oracle: bool) -> list[dict]:
         is_maximum(build_divisible(inst).network, flow) and flow.value == profile.total,
         f"profile total {profile.total} vs doubled max flow {flow.value}",
     )
-    induced_ok = all(
-        sum((amount for edge, amount in exchange.items() if node in edge), Fraction(0))
-        == profile[node]
-        for node in inst.nodes
-    )
-    record("divisible-exchange-consistent", induced_ok)
+    induced = dict.fromkeys(inst.nodes, Fraction(0))
+    for (u, v), amount in exchange.items():
+        induced[u] += amount
+        induced[v] += amount
+    record("divisible-exchange-consistent", all(induced[node] == profile[node] for node in inst.nodes))
 
     if inst.is_uncapacitated:
         outcome = indivisible_outcome(inst)

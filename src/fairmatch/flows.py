@@ -7,8 +7,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
-from typing import Mapping
+from math import gcd, lcm
+from typing import Iterator, Mapping
 
 from .instance import _exact, format_rational
 
@@ -28,7 +28,7 @@ def _coerce_cap(arc: Arc, cap, terminal: bool) -> Fraction | None:
         return None
     if not _exact(cap):
         raise FlowError(f"arc {arc!r}: capacity {cap!r} is not an int or a Fraction")
-    value = Fraction(cap)
+    value = cap if isinstance(cap, Fraction) else Fraction(cap)
     if value.numerator < 0:
         raise FlowError(f"arc {arc!r}: negative capacity {cap!r}")
     return value
@@ -67,28 +67,64 @@ class FlowNetwork:
             nbrs.setdefault(v, set()).add(u)
         return {node: tuple(sorted(out)) for node, out in nbrs.items()}
 
+    @cached_property
+    def scaled_caps(self) -> tuple[int, dict[Arc, int | None]]:
+        """``scale``, a common denominator of the finite caps, and the caps times
+        it (unbounded stays None). A :meth:`with_caps` copy derives its own from
+        its parent's, so its scale may be a multiple of the least one."""
+        scale = lcm(*{cap.denominator for cap in self.arcs.values() if cap is not None})
+        return scale, {
+            arc: None if c is None else c.numerator * (scale // c.denominator) for arc, c in self.arcs.items()
+        }
+
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
         """A copy with some arc capacities replaced. The arc set is unchanged, so
-        only the new caps are checked, and the copy shares this network's
-        already coerced caps and its neighbor lists."""
+        only the new caps are checked and scaled, and the copy shares this
+        network's already coerced and scaled caps and its neighbor lists."""
         unknown = set(overrides) - set(self.arcs)
         if unknown:
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
-        arcs = dict(self.arcs)
+        arcs, new = dict(self.arcs), {}
         for (u, v), cap in overrides.items():
-            arcs[(u, v)] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+            arcs[(u, v)] = new[(u, v)] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+        old, caps = self.scaled_caps
+        scale = lcm(old, *{cap.denominator for cap in new.values() if cap is not None})
+        caps = {arc: None if c is None else c * (scale // old) for arc, c in caps.items()}
+        for arc, cap in new.items():
+            caps[arc] = None if cap is None else cap.numerator * (scale // cap.denominator)
         copy = object.__new__(FlowNetwork)
         copy.__dict__.update(source=self.source, sink=self.sink, arcs=arcs, neighbors=self.neighbors)
+        copy.__dict__["scaled_caps"] = scale, caps
         return copy
+
+
+class ScaledValues(Mapping):
+    """A flow's arc values as ints over one common ``scale``, read-only: an arc
+    becomes a ``Fraction`` only when it is read."""
+
+    def __init__(self, scale: int, ints: dict[Arc, int]) -> None:
+        self.scale, self.ints = scale, ints
+
+    def __getitem__(self, arc: Arc) -> Fraction:
+        return Fraction(self.ints[arc], self.scale)
+
+    def __iter__(self) -> Iterator[Arc]:
+        return iter(self.ints)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
 class Flow:
     """A feasible flow: exact arc values plus the value shipped source to sink.
-    A flow returned by :func:`max_flow` also carries ``cut``, the source side
-    of the minimal minimum cut that certifies it."""
+    A flow returned by :func:`max_flow` keeps its ints as :class:`ScaledValues`
+    and carries ``cut``, the source side of the minimal minimum cut certifying it."""
 
-    values: dict[Arc, Fraction]
+    values: Mapping[Arc, Fraction]
     value: Fraction
     cut: frozenset[str] | None = field(default=None, compare=False, repr=False)
 
@@ -144,23 +180,26 @@ def _tree_path(parent: dict[str, str], v: str) -> list[Arc]:
 
 
 def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tuple[int, dict, dict[Arc, int], int]:
-    """``scale``, the common denominator of the finite caps and of ``flow``, and
+    """``scale``, a common denominator of the finite caps and of ``flow``, and
     the caps (unbounded stays None), arc values and value times ``scale``, as
     the ints every search and check of this module runs on."""
-    finite = [cap for cap in net.arcs.values() if cap is not None]
-    if flow is not None:
+    scale, caps = net.scaled_caps
+    if flow is None:
+        return scale, caps, {}, 0
+    own = flow.values
+    if not isinstance(own, ScaledValues):
         names = ("start value", "start flow") if as_start else ("flow value", "flow")
-        for arc, x in [*flow.values.items(), (None, flow.value)]:
+        for arc, x in [*own.items(), (None, flow.value)]:
             if not _exact(x):
                 where = names[0] if arc is None else f"arc {arc!r}: {names[1]}"
                 raise FlowError(f"{where} {x!r} is not an int or a Fraction")
-        finite += [*flow.values.values(), flow.value]
-    scale = lcm(*{x.denominator for x in finite})
-    caps = {arc: None if c is None else c.numerator * (scale // c.denominator) for arc, c in net.arcs.items()}
-    if flow is None:
-        return scale, caps, {}, 0
-    values = {arc: x.numerator * (scale // x.denominator) for arc, x in flow.values.items()}
-    return scale, caps, values, flow.value.numerator * (scale // flow.value.denominator)
+        least = lcm(*{x.denominator for x in own.values()})
+        own = ScaledValues(least, {arc: x.numerator * (least // x.denominator) for arc, x in own.items()})
+    common = lcm(scale, own.scale, flow.value.denominator)
+    if common != scale:
+        caps = {arc: None if c is None else c * (common // scale) for arc, c in caps.items()}
+    values = own.ints if common == own.scale else {arc: x * (common // own.scale) for arc, x in own.ints.items()}
+    return common, caps, values, flow.value.numerator * (common // flow.value.denominator)
 
 
 def _certify(net: FlowNetwork, caps: Mapping, values: Mapping[Arc, int], total: int, scale: int, side=None) -> None:
@@ -240,10 +279,11 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     that excess is cancelled first (see :func:`_cancel_excess`). Raises :class:`FlowError` when the excess
     cannot be cancelled or ``start`` is infeasible in any other way.
 
-    The search runs on ints: caps and ``start`` times their common denominator,
+    The search runs on ints: caps and ``start`` times a common denominator,
     which keeps the same paths. The last search reaches the nodes of the
     minimal minimum cut; the flow is certified against that cut on the same
-    ints (see :func:`_certify`), then divided back once and returned with it.
+    ints (see :func:`_certify`) and returned with it, as :class:`ScaledValues`
+    divided by their gcd with the scale: the least common denominator.
     """
     scale, caps, given, total = _scaled(net, start, as_start=True)
     values = dict.fromkeys(net.arcs, 0)
@@ -255,8 +295,9 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         parent = _search(net, caps, values)
         if net.sink not in parent:
             _certify(net, caps, values, total, scale, side=parent)
+            common = gcd(scale, total, *values.values())
             return Flow(
-                values={arc: Fraction(x, scale) for arc, x in values.items()},
+                values=ScaledValues(scale // common, {arc: x // common for arc, x in values.items()}),
                 value=Fraction(total, scale),
                 cut=frozenset(parent),
             )
@@ -369,14 +410,10 @@ def _integral_flow_in_box(
     solved = max_flow(helper)
     if solved.value != need:
         raise FlowError("no integral maximum flow inside the rounding box")
-    result: dict[Arc, int] = {}
-    for arc, lo in lower.items():
-        u, v = arc
-        shifted = solved.values.get(("n:" + u, "n:" + v), 0)
-        if shifted.denominator != 1:
-            raise FlowError("box flow came out fractional")
-        result[arc] = lo + int(shifted)
-    return result
+    shifted = solved.values
+    if shifted.scale != 1:
+        raise FlowError("box flow came out fractional")
+    return {arc: lo + shifted.ints.get(("n:" + arc[0], "n:" + arc[1]), 0) for arc, lo in lower.items()}
 
 
 def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
@@ -395,6 +432,8 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     for arc, cap in net.arcs.items():
         if cap is not None and cap.denominator != 1:
             raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
+    # unit-scale caps, whatever scale the network's own scaled caps have
+    caps = {arc: None if cap is None else cap.numerator for arc, cap in net.arcs.items()}
     try:
         cut = min_cut(net, flow)
     except FlowError as exc:
@@ -402,7 +441,6 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     if flow.value.denominator != 1:
         raise FlowError("maximum flow value is fractional despite integer capacities")
     target = int(flow.value)
-    _, caps, _, _ = _scaled(net, None)
     scale, _, scaled, _ = _scaled(net, flow)
 
     rest = {arc: scaled.get(arc, 0) for arc in net.arcs}
@@ -421,7 +459,7 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
         else:
             integral, weight = lower, left
         _certify(net, caps, integral, target, 1, side=cut)
-        member = Flow(values={arc: Fraction(g) for arc, g in integral.items()}, value=Fraction(target))
+        member = Flow(values=ScaledValues(1, integral), value=Fraction(target))
         entries.append((member, Fraction(weight, scale)))
         for arc, g in integral.items():
             rest[arc] -= weight * g

@@ -348,19 +348,23 @@ def realize_targets(inst: Instance, targets: Mapping[str, int]) -> BMatching | N
     """
     if set(targets) != set(inst.peaks):
         raise MatchingError("targets must cover exactly the instance nodes")
-    total = 0
     for node, t in targets.items():
         if not isinstance(t, int) or t < 0:
             raise MatchingError(f"node {node!r}: target must be a nonnegative integer")
         if t > inst.peaks[node]:
             raise MatchingError(f"node {node!r}: target {t} exceeds peak {inst.peaks[node]}")
-        total += t
     if not inst.is_uncapacitated:
         raise MatchingError("realize_targets requires an uncapacitated instance")
+    matched = _realize({node: targets[node] for node in inst.peaks}, inst.edges)
+    if matched is not None:
+        matched.check_feasible(inst)
+    return matched
+
+
+def _realize(targets: Mapping[str, int], edges: tuple[Edge, ...]) -> BMatching | None:
+    """A b-matching of ``edges`` with utility exactly ``targets`` at every node, or None."""
+    total = sum(targets.values())
     if total % 2:
         return None
-    matched = _maximum({node: targets[node] for node in inst.peaks}, inst.edges)[0]
-    if matched.total_utility != total:
-        return None
-    matched.check_feasible(inst)
-    return matched
+    matched = _maximum(targets, edges)[0]
+    return matched if matched.total_utility == total else None

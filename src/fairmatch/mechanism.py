@@ -21,7 +21,7 @@ from .flows import (
     maximal_min_cut,
 )
 from .instance import BMatching, Instance, InstanceError, UtilityProfile, canonical_edge, format_rational
-from .matching import GedDecomposition, ged_decompose, realize_targets
+from .matching import GedDecomposition, _realize, ged_decompose
 
 SOURCE = "@source"
 SINK = "@sink"
@@ -289,11 +289,11 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
         # At or below the previous breakpoint every active agent sits at its
         # peak, and the last probe shipped exactly these caps already.
         while top > previous_break:
-            caps = {supply_arcs[agent]: frozen[agent] for agent in frozen}
-            caps.update({supply_arcs[agent]: min(lam, Fraction(peaks[agent])) for agent in active})
-            capped = net.with_caps(caps)
+            # frozen agents keep the caps of the probe before, which froze them
+            caps = {supply_arcs[agent]: min(lam, Fraction(peaks[agent])) for agent in active}
+            capped = capped.with_caps(caps)
             flow = max_flow(capped, start=flow)
-            deficit = sum(caps.values(), Fraction(0)) - flow.value
+            deficit = sum(caps.values(), sum(frozen.values(), Fraction(0))) - flow.value
             if not deficit:
                 break
             # On the minimum cut max_flow certified, the deficit is the cut side's excess.
@@ -318,7 +318,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             raise MechanismError("breakpoint without a bottlenecked agent")
         fresh_nodes = {supply_arcs[agent][1] for agent in newly}
         image = frozenset(
-            head for (tail, head), x in flow.values.items() if tail in fresh_nodes and x > 0
+            head for (tail, head), x in flow.values.ints.items() if tail in fresh_nodes and x > 0
         )
         trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
         for agent in newly:
@@ -382,17 +382,19 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
     if flow.value != filled.total:
         raise MechanismError("profile is not realizable by a divisible maximum flow")
     profile = replace(filled, flow=flow)
+    # twice each amount, on the flow's ints: both endpoints sum in one pass
+    ints, scale = flow.values.ints, 2 * flow.values.scale
     exchange: dict[tuple[str, str], Fraction] = {}
-    shared: dict[Fraction, Fraction] = {}  # equal amounts share one Fraction
+    shared: dict[int, Fraction] = {}  # equal amounts share one Fraction
+    induced = dict.fromkeys(inst.nodes, 0)
     for edge in inst.edges:
         u, v = edge
-        amount = (flow.on(_a(u), _b(v)) + flow.on(_a(v), _b(u))) / 2
-        exchange[edge] = shared.setdefault(amount, amount)
+        twice = ints[(_a(u), _b(v))] + ints[(_a(v), _b(u))]
+        exchange[edge] = shared.setdefault(twice, Fraction(twice, scale))
+        induced[u] += twice
+        induced[v] += twice
     for node in inst.nodes:
-        induced = sum(
-            (amount for edge, amount in exchange.items() if node in edge), Fraction(0)
-        )
-        if induced != profile[node]:
+        if Fraction(induced[node], scale) != profile[node]:
             raise MechanismError(f"symmetrized exchange misses the profile at {node!r}")
     return profile, exchange
 
@@ -442,11 +444,12 @@ def _matching_from_member(
     inst: Instance,
     construction: BipartiteConstruction,
     perfect_part: BMatching,
-    components: list[tuple[int, tuple[str, ...], Instance]],
+    components: list[tuple[int, tuple[str, ...], tuple[str, ...], tuple[tuple[str, str], ...]]],
     member: Flow,
 ) -> BMatching:
     """The b-matching of one integral member; ``components`` lists each
-    multi-node odd component's index, nodes and induced instance."""
+    multi-node odd component's index, its nodes sorted and in instance order,
+    and its induced edges."""
     multiplicities = dict(perfect_part.multiplicities)
     for arc, tag in construction.provenance.items():
         if tag[0] == "exchange":
@@ -456,14 +459,14 @@ def _matching_from_member(
             if amount:
                 edge = tag[1]
                 multiplicities[edge] = multiplicities.get(edge, 0) + int(amount)
-    for index, component, sub in components:
+    for index, component, order, edges in components:
         targets = {}
         for node in component:
             amount = member.on(_a(node), _component(index))
             if amount.denominator != 1:
                 raise MechanismError("integral member has a fractional component arc")
             targets[node] = int(amount)
-        realized = realize_targets(sub, targets)
+        realized = _realize({node: targets[node] for node in order}, edges)
         if realized is None:
             raise MechanismError(
                 f"component {component!r}: internal targets {targets!r} are unrealizable"
@@ -514,11 +517,13 @@ def build_lottery(
     if any(degrees[node] != inst.peaks[node] for node in ged.perfect):
         raise MechanismError("perfectly matched agents cannot be saturated internally")
 
-    components = [
-        (index, component, inst.induced(component))
-        for index, component in enumerate(ged.odd_components)
-        if len(component) >= 2
-    ]
+    components = []
+    for index, component in enumerate(ged.odd_components):
+        if len(component) >= 2:
+            keep = set(component)
+            order = tuple(node for node in inst.peaks if node in keep)
+            edges = tuple(e for e in inst.edges if e[0] in keep and e[1] in keep)
+            components.append((index, component, order, edges))
     entries = []
     expected = {agent: Fraction(0) for agent in construction.agents}
     for member, weight in combination.entries:

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import prod
+from math import ceil, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -365,9 +365,26 @@ def _same_as_reference(net: FlowNetwork, start: Flow | None = None) -> Flow:
     reference = reference_max_flow(net, start)
     assert list(flow.values.items()) == list(reference.values.items())
     assert flow.value == reference.value
+    # the flow keeps the ints it was solved on, yet reads, compares and prints
+    # as the Flow of its Fractions; their scale is the least one
+    as_fractions = Flow(dict(flow.values), flow.value)
+    assert flow == as_fractions == reference and repr(flow) == repr(as_fractions)
+    assert flow.values.scale == lcm(*(x.denominator for x in [*flow.values.values(), flow.value]))
     # the returned cut is what the Fraction search reaches on the reference flow
     assert flow.cut == frozenset(_search(net, net.arcs, reference.values))
     return flow
+
+
+def _same_caps_as_fresh(net: FlowNetwork) -> FlowNetwork:
+    """A network built from ``net``'s caps, after checking that ``net``'s
+    scaled caps stand for the same caps on a multiple of the fresh scale."""
+    fresh = FlowNetwork(net.source, net.sink, dict(net.arcs))
+    scale, caps = net.scaled_caps
+    fresh_scale, fresh_caps = fresh.scaled_caps
+    assert fresh_scale == lcm(*(cap.denominator for cap in net.arcs.values() if cap is not None))
+    assert scale % fresh_scale == 0
+    assert caps == {arc: None if cap is None else cap * (scale // fresh_scale) for arc, cap in fresh_caps.items()}
+    return fresh
 
 
 @pytest.mark.parametrize("chunk", range(10))
@@ -376,7 +393,7 @@ def test_scaled_solver_matches_fraction_reference(chunk):
     # inner arcs. The integer search takes the Fraction search's paths, so cold
     # and warm solves return the same flow, arc by arc and in the same key order
     factors = {"s": (0, Fraction(1, 3), Fraction(5, 7), 1, 2), "t": (0, Fraction(1, 2), Fraction(4, 11), 1)}
-    both_excess = 0
+    both_excess = grown = rescaled = 0
     for seed in range(30 * chunk, 30 * chunk + 30):
         rng = random.Random(f"scaled/{seed}")
         net = _layered_network(rng, max_denominator=12)
@@ -390,7 +407,28 @@ def test_scaled_solver_matches_fraction_reference(chunk):
         _same_as_reference(capped, start)
         over = [arc for arc, cap in capped.arcs.items() if cap is not None and start.values[arc] > cap]
         both_excess += any(u == "s" for u, _ in over) and any(v == "t" for _, v in over)
+        # copies of copies derive their scaled caps from their parent's
+        chained = capped
+        for _ in range(3):
+            overrides = {}
+            for (u, v), cap in chained.arcs.items():
+                if rng.random() < 0.5:
+                    finite = u == "s" or v == "t" or rng.random() < 0.7
+                    overrides[(u, v)] = Fraction(rng.randint(0, 9), rng.randint(1, 12)) if finite else None
+            chained = chained.with_caps(overrides)
+            grown += chained.scaled_caps[0] > _same_caps_as_fresh(chained).scaled_caps[0]
+        _same_as_reference(chained)
+        # rounded up, the caps are integers on the scale of the fractional ones
+        integral = chained.with_caps({arc: Fraction(ceil(cap)) for arc, cap in chained.arcs.items() if cap is not None})
+        rescaled += integral.scaled_caps[0] > 1
+        fresh = _same_caps_as_fresh(integral)
+        solved = [max_flow(integral), _relabeled_max_flow(integral, rng)]
+        mixed = Flow({arc: (solved[0].values[arc] + solved[1].values[arc]) / 2 for arc in integral.arcs}, solved[0].value)
+        for flow in [*solved, mixed]:
+            members = _same_decomposition_as_reference(integral, flow)
+            assert _same_decomposition_as_reference(fresh, flow) == members
     assert both_excess >= 5
+    assert grown >= 45 and rescaled >= 25
 
 
 def test_scaled_solver_edge_cases():

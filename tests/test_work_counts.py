@@ -205,6 +205,28 @@ def test_fill_makes_no_fraction_arithmetic_in_flows(hub15, build):
     assert counts["flows"] == 0
 
 
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+def test_fill_builds_one_fraction_per_probe_in_flows(hub15, calls, build):
+    # each probe's network derives its scaled caps from the probe before, and
+    # its flow keeps the ints it was solved on: left is each flow's value.
+    # Coercing every cap and dividing every arc made 354 and 492 Fractions.
+    # Each of the 6 probes is still one max_flow call through mechanism
+    construction = build(hub15)
+    counts = {"flows": 0}
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        counts["flows"] += sys._getframe(1).f_code.co_filename == flows.__file__
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted))
+        profile = egalitarian_profile(construction)
+    assert profile.total > 0
+    assert counts["flows"] <= 12
+    assert calls["max_flow"] == 6
+
+
 def test_decomposition_makes_almost_no_fraction_arithmetic_in_flows(hub15):
     # the peels run on ints scaled by the flow's common denominator; left are
     # ConvexCombination's weight checks (10 for three members) and the value
@@ -345,10 +367,10 @@ def test_ged_builds_no_instance(hub15, builds):
 
 def test_indivisible_outcome_solves_perfect_agents_once(hub15, builds):
     # the lottery's perfect part comes from the decomposition's matching, and
-    # component targets are realized without a shrunk Instance: this took 22
-    # Instance validations and 5 b-matching solves. Left are the decomposition,
-    # one solve per member for the component (s1, s2, s3), and that component's
-    # induced instance
+    # component targets are realized from the component's edges, without a
+    # shrunk or induced Instance: this took 22 Instance validations and 5
+    # b-matching solves. Left are the decomposition and one solve per member
+    # for the component (s1, s2, s3)
     indivisible_outcome(hub15)
-    assert builds["instances"] <= 1
+    assert builds["instances"] == 0
     assert builds["maximum"] == 4
