@@ -3,7 +3,7 @@ fractional maximum flow into a convex combination of integral maximum flows."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -34,6 +34,21 @@ def _coerce_cap(arc: Arc, cap, terminal: bool) -> Fraction | None:
     return value
 
 
+#: A network's ids: ``nodes`` and ``arcs`` by id (and ``arc_ids``), the tail,
+#: head, ``source`` and ``sink`` ids, and per node its residual row, a list of
+#: ``(neighbor, forward arc, backward arc)`` in ``neighbors`` order, with -1 for a
+#: missing arc. Caps and flow values on it are int lists over arc ids with one
+#: extra 0 at the end, so that arc -1 has no capacity and no flow.
+_Index = namedtuple("_Index", "nodes arcs tails heads rows source sink arc_ids", defaults=[None])
+
+
+def _built(source, sink, arcs: dict, **cached) -> "FlowNetwork":
+    """A network from already checked arcs, with some cached properties given."""
+    net = object.__new__(FlowNetwork)
+    net.__dict__.update(source=source, sink=sink, arcs=arcs, **cached)
+    return net
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """Directed capacitated network with distinguished source and sink."""
@@ -59,8 +74,7 @@ class FlowNetwork:
 
     @cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
-        """Residual-traversal neighbor lists (both arc directions), sorted; the
-        keys are the node set. Built once per network."""
+        """Sorted residual-traversal neighbor lists (both arc directions) by node."""
         nbrs: dict[str, set[str]] = {self.source: set(), self.sink: set()}
         for u, v in self.arcs:
             nbrs.setdefault(u, set()).add(v)
@@ -68,34 +82,45 @@ class FlowNetwork:
         return {node: tuple(sorted(out)) for node, out in nbrs.items()}
 
     @cached_property
-    def scaled_caps(self) -> tuple[int, dict[Arc, int | None]]:
-        """``scale``, a common denominator of the finite caps, and the caps times
-        it (unbounded stays None). A :meth:`with_caps` copy derives its own from
-        its parent's, so its scale may be a multiple of the least one."""
+    def index(self) -> _Index:
+        """Built once per arc set: node ids follow ``neighbors``, arc ids ``arcs``."""
+        ids = {node: k for k, node in enumerate(self.neighbors)}
+        arc_ids = {arc: a for a, arc in enumerate(self.arcs)}
+        rows = [  # lists: rows built by tuple(generator) pile up in the tuple free lists once freed
+            [(ids[v], arc_ids.get((u, v), -1), arc_ids.get((v, u), -1)) for v in out]
+            for u, out in self.neighbors.items()
+        ]
+        tails, heads = [ids[u] for u, _ in self.arcs], [ids[v] for _, v in self.arcs]
+        return _Index(list(ids), list(self.arcs), tails, heads, rows, 0, 1, arc_ids)
+
+    @cached_property
+    def scaled_caps(self) -> tuple[int, list[int | None]]:
+        """``scale``, the least common denominator of the finite caps, and the
+        caps times it by arc id (unbounded stays None), ending with the extra 0."""
         scale = lcm(*{cap.denominator for cap in self.arcs.values() if cap is not None})
-        return scale, {
-            arc: None if c is None else c.numerator * (scale // c.denominator) for arc, c in self.arcs.items()
-        }
+        caps = [None if c is None else c.numerator * (scale // c.denominator) for c in self.arcs.values()]
+        return scale, caps + [0]
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
-        """A copy with some arc capacities replaced. The arc set is unchanged, so
-        only the new caps are checked and scaled, and the copy shares this
-        network's already coerced and scaled caps and its neighbor lists."""
-        unknown = set(overrides) - set(self.arcs)
-        if unknown:
+        """A copy with some arc capacities replaced. Only the new caps are
+        checked; the copy shares this network's coerced caps and index, and puts
+        the new caps into its scaled caps, brought down to the least scale."""
+        if unknown := overrides.keys() - self.arcs.keys():
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
-        arcs, new = dict(self.arcs), {}
+        arcs, new, arc_ids = dict(self.arcs), {}, self.index.arc_ids
         for (u, v), cap in overrides.items():
-            arcs[(u, v)] = new[(u, v)] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+            arcs[(u, v)] = new[arc_ids[(u, v)]] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
         old, caps = self.scaled_caps
         scale = lcm(old, *{cap.denominator for cap in new.values() if cap is not None})
-        caps = {arc: None if c is None else c * (scale // old) for arc, c in caps.items()}
-        for arc, cap in new.items():
-            caps[arc] = None if cap is None else cap.numerator * (scale // cap.denominator)
-        copy = object.__new__(FlowNetwork)
-        copy.__dict__.update(source=self.source, sink=self.sink, arcs=arcs, neighbors=self.neighbors)
-        copy.__dict__["scaled_caps"] = scale, caps
-        return copy
+        factor = scale // old
+        caps = [None if c is None else c * factor for c in caps]
+        for a, cap in new.items():
+            caps[a] = None if cap is None else cap.numerator * (scale // cap.denominator)
+        common = gcd(scale, *filter(None, caps))  # replaced caps may leave a smaller scale
+        if common > 1:
+            scale, caps = scale // common, [None if c is None else c // common for c in caps]
+        shared = {"neighbors": self.neighbors, "index": self.index}
+        return _built(self.source, self.sink, arcs, scaled_caps=(scale, caps), **shared)
 
 
 class ScaledValues(Mapping):
@@ -139,53 +164,45 @@ class Flow:
         ]
 
 
-def _residual(caps: Mapping, values: Mapping, u: str, v: str) -> Fraction | int | None:
-    """Residual capacity from u to v under ``caps`` (the arcs or their scaled
-    copy); None means unbounded. A missing arc or flow value counts as 0."""
-    back = values.get((v, u), 0)
-    if (u, v) not in caps:
-        return back
-    cap = caps[(u, v)]
-    return None if cap is None else cap - values.get((u, v), 0) + back
-
-
-def _search(net: FlowNetwork, caps: Mapping, values: Mapping, backward: bool = False) -> dict[str, str]:
-    """BFS parent map of the residual network of ``values`` under ``caps``:
-    forward from the source, or backward from the sink (along residual arcs
-    into each node). Stops once it reaches the other terminal."""
-    start, goal = (net.sink, net.source) if backward else (net.source, net.sink)
-    nbrs = net.neighbors
-    parent = {start: start}
-    queue = deque([start])
-    while queue and goal not in parent:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if v in parent:
-                continue
-            spare = _residual(caps, values, v, u) if backward else _residual(caps, values, u, v)
-            if spare is None or spare > 0:
-                parent[v] = u
+def _search(net: FlowNetwork, caps: list, values: list[int], backward: bool = False) -> list:
+    """BFS tree of the residual network of ``values`` under ``caps`` from the
+    source, or backward from the sink (along residual arcs into each node), up
+    to the other terminal: per node, None or the row entry that reached it."""
+    idx = net.index
+    start, goal = (idx.sink, idx.source) if backward else (idx.source, idx.sink)
+    parent: list = [None] * len(idx.rows)
+    parent[start] = (start, -1, -1)
+    queue = [start]
+    for u in queue:
+        if parent[goal] is not None:
+            break
+        for entry in idx.rows[u]:
+            v, f, b = entry
+            if backward:
+                f, b = b, f
+            if parent[v] is None and (caps[f] is None or caps[f] > values[f] or values[b]):
+                parent[v] = entry
                 queue.append(v)
     return parent
 
 
-def _tree_path(parent: dict[str, str], v: str) -> list[Arc]:
-    """Arcs of the search-tree path from the root of ``parent`` to ``v``."""
-    path: list[Arc] = []
-    while parent[v] != v:
-        path.append((parent[v], v))
-        v = parent[v]
-    path.reverse()
+def _tree_path(idx: _Index, parent: list, start: int, v: int) -> list[tuple[int, int, int]]:
+    """Row entries of the search-tree path from ``start`` to ``v``."""
+    path = []
+    while v != start:
+        _, f, b = entry = parent[v]
+        path.append(entry)
+        v = idx.tails[f] if f >= 0 else idx.heads[b]
     return path
 
 
-def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tuple[int, dict, dict[Arc, int], int]:
+def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tuple[int, list, list[int], int]:
     """``scale``, a common denominator of the finite caps and of ``flow``, and
-    the caps (unbounded stays None), arc values and value times ``scale``, as
-    the ints every search and check of this module runs on."""
+    the caps (unbounded stays None) and arc values by arc id and the value, all
+    times ``scale``: the ints every search and check of this module runs on."""
     scale, caps = net.scaled_caps
     if flow is None:
-        return scale, caps, {}, 0
+        return scale, caps, [0] * len(caps), 0
     own = flow.values
     if not isinstance(own, ScaledValues):
         names = ("start value", "start flow") if as_start else ("flow value", "flow")
@@ -197,70 +214,73 @@ def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tupl
         own = ScaledValues(least, {arc: x.numerator * (least // x.denominator) for arc, x in own.items()})
     common = lcm(scale, own.scale, flow.value.denominator)
     if common != scale:
-        caps = {arc: None if c is None else c * (common // scale) for arc, c in caps.items()}
-    values = own.ints if common == own.scale else {arc: x * (common // own.scale) for arc, x in own.ints.items()}
+        caps = [None if c is None else c * (common // scale) for c in caps]
+    ints = own.ints
+    if list(ints) != net.index.arcs:  # not a flow that max_flow returned for this arc set
+        for arc in ints:
+            if arc not in net.arcs:
+                raise FlowError(f"flow on missing arc {arc!r}")
+        ints = {arc: ints.get(arc, 0) for arc in net.index.arcs}
+    values = [*ints.values(), 0]
+    if common != own.scale:
+        values = [x * (common // own.scale) for x in values]
     return common, caps, values, flow.value.numerator * (common // flow.value.denominator)
 
 
-def _certify(net: FlowNetwork, caps: Mapping, values: Mapping[Arc, int], total: int, scale: int, side=None) -> None:
+def _certify(net: FlowNetwork, caps: list, values: list[int], total: int, scale: int, side=None) -> None:
     """Raise :class:`FlowError` unless ``values`` is a feasible flow of value
     ``total`` under ``caps``, all scaled by ``scale``. Given a source ``side``
-    (``values`` then holds every arc), also unless the arcs leaving it have
+    (true at the ids of its nodes), also unless the arcs leaving it have
     capacity ``total``: no flow ships more than any cut's capacity (weak
     duality; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, section 6.5), so
     the flow is maximum and the cut minimum."""
-    balance: dict[str, int] = {}
+    idx = net.index
+    balance = [0] * len(idx.nodes)
     crossing = 0
-    for arc, x in values.items():
-        if arc not in caps:
-            raise FlowError(f"flow on missing arc {arc!r}")
-        cap = caps[arc]
+    for arc, x, cap, u, v in zip(idx.arcs, values, caps, idx.tails, idx.heads):
         if x < 0 or (cap is not None and x > cap):
-            bound = None if cap is None else Fraction(cap, scale)
-            raise FlowError(f"arc {arc!r}: flow {Fraction(x, scale)} outside [0, {bound}]")
-        u, v = arc
-        balance[u] = balance.get(u, 0) - x
-        balance[v] = balance.get(v, 0) + x
-        if side is not None and u in side and v not in side:
+            raise FlowError(f"arc {arc!r}: flow {Fraction(x, scale)} outside [0, {cap and Fraction(cap, scale)}]")
+        balance[u] -= x
+        balance[v] += x
+        if side is not None and side[u] and not side[v]:
             if cap is None:
                 raise FlowError(f"flow is not maximum: unbounded arc {arc!r} leaves its cut")
             crossing += cap
-    for node, net_in in balance.items():
-        if node not in (net.source, net.sink) and net_in:
-            raise FlowError(f"conservation violated at {node!r} (imbalance {Fraction(net_in, scale)})")
-    if balance.get(net.source, 0) != -total:
+    for node, net_in in enumerate(balance):
+        if net_in and node != idx.source and node != idx.sink:
+            raise FlowError(f"conservation violated at {idx.nodes[node]!r} (imbalance {Fraction(net_in, scale)})")
+    if balance[idx.source] != -total:
         raise FlowError("flow value does not match net outflow of the source")
     if side is not None and crossing != total:
         raise FlowError("flow is not maximum: its cut has more capacity than its value")
 
 
-def _cancel_excess(net: FlowNetwork, caps: Mapping[Arc, int], values: dict[Arc, int]) -> int:
+def _cancel_excess(net: FlowNetwork, caps: list, values: list[int]) -> int:
     """Bring every terminal arc down to its cap: cancel the flow it carries above
-    the cap along shortest paths of positive-flow arcs, searched in
-    ``net.neighbors`` order. Arcs out of the source go first, each along paths
-    from its head to the sink; then arcs into the sink, each along paths from
-    the source to its tail. Returns the value cancelled."""
-    source, sink = net.source, net.sink
-    nbrs = net.neighbors
-    terminal_arcs = [(source, head) for head in nbrs[source]]
-    terminal_arcs += [(tail, sink) for tail in nbrs[sink]]
+    the cap along shortest paths of positive-flow arcs, in row order. Arcs out
+    of the source go first, each along paths from its head to the sink; then
+    arcs into the sink, each from the source to its tail. Returns the value cancelled."""
+    idx = net.index
+    source, sink, rows = idx.source, idx.sink, idx.rows
     cancelled = 0
-    for arc in terminal_arcs:
-        tail, head = arc
+    for arc in [f for _, f, _ in rows[source]] + [b for _, _, b in rows[sink]]:
+        tail, head = idx.tails[arc], idx.heads[arc]
         start, goal = (head, sink) if tail == source else (source, tail)
         excess = values[arc] - caps[arc]
         while excess > 0:
-            parent = {start: start}
-            queue = deque([start])
-            while queue and goal not in parent:
-                u = queue.popleft()
-                for v in nbrs[u]:
-                    if v not in parent and values.get((u, v), 0) > 0:
-                        parent[v] = u
-                        queue.append(v)
-            if goal not in parent:
-                raise FlowError(f"arc {arc!r}: cannot cancel the flow above its cap")
-            path = _tree_path(parent, goal)
+            parent: list = [None] * len(rows)
+            parent[start] = (start, -1, -1)
+            queue = [start]
+            for u in queue:
+                if parent[goal] is not None:
+                    break
+                for entry in rows[u]:  # along arcs that carry flow
+                    if parent[entry[0]] is None and values[entry[1]] > 0:
+                        parent[entry[0]] = entry
+                        queue.append(entry[0])
+            if parent[goal] is None:
+                raise FlowError(f"arc {idx.arcs[arc]!r}: cannot cancel the flow above its cap")
+            path = [f for _, f, _ in _tree_path(idx, parent, start, goal)]
             amount = min([excess, *(values[a] for a in path)])
             for a in [arc, *path]:
                 values[a] -= amount
@@ -271,59 +291,54 @@ def _cancel_excess(net: FlowNetwork, caps: Mapping[Arc, int], values: dict[Arc, 
 
 def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     """Maximum flow by shortest augmenting paths; integral whenever capacities
-    and ``start`` are.
+    and ``start`` are. The search begins from zero flow, or from ``start``: a
+    feasible flow of ``net`` except that terminal arcs (out of the source or
+    into the sink) may carry more than their caps. That excess is cancelled
+    first (see :func:`_cancel_excess`); :class:`FlowError` when it cannot be,
+    or when ``start`` is infeasible in any other way.
 
-    Without ``start`` the search begins from zero flow. With it, it begins from
-    ``start``, which must be a feasible flow of ``net`` except that terminal
-    arcs (out of the source or into the sink) may carry more than their caps;
-    that excess is cancelled first (see :func:`_cancel_excess`). Raises :class:`FlowError` when the excess
-    cannot be cancelled or ``start`` is infeasible in any other way.
-
-    The search runs on ints: caps and ``start`` times a common denominator,
-    which keeps the same paths. The last search reaches the nodes of the
-    minimal minimum cut; the flow is certified against that cut on the same
-    ints (see :func:`_certify`) and returned with it, as :class:`ScaledValues`
-    divided by their gcd with the scale: the least common denominator.
+    The search runs on the network's index, on ints: caps and ``start`` times a
+    common denominator, which keeps the same paths. The last search reaches the
+    minimal minimum cut; the flow is certified against it (:func:`_certify`) and
+    returned with it, as :class:`ScaledValues` over the least common denominator.
     """
-    scale, caps, given, total = _scaled(net, start, as_start=True)
-    values = dict.fromkeys(net.arcs, 0)
+    idx = net.index
+    scale, caps, values, total = _scaled(net, start, as_start=True)
     if start is not None:
-        values.update(given)
         total -= _cancel_excess(net, caps, values)
         _certify(net, caps, values, total, scale)
     while True:
         parent = _search(net, caps, values)
-        if net.sink not in parent:
+        if parent[idx.sink] is None:
             _certify(net, caps, values, total, scale, side=parent)
-            common = gcd(scale, total, *values.values())
+            common = gcd(scale, total, *values)
+            if common > 1:
+                values = [x // common for x in values]
             return Flow(
-                values=ScaledValues(scale // common, {arc: x // common for arc, x in values.items()}),
+                values=ScaledValues(scale // common, dict(zip(idx.arcs, values))),
                 value=Fraction(total, scale),
-                cut=frozenset(parent),
+                cut=frozenset(node for node, reached in zip(idx.nodes, parent) if reached is not None),
             )
-        path = _tree_path(parent, net.sink)
-        bottleneck: int | None = None
-        for u, v in path:
-            spare = _residual(caps, values, u, v)
-            if spare is not None and (bottleneck is None or spare < bottleneck):
-                bottleneck = spare
-        if bottleneck is None:
+        path = _tree_path(idx, parent, idx.source, idx.sink)
+        spares = [caps[f] - values[f] + values[b] for _, f, b in path if caps[f] is not None]
+        if not spares:
             raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
-        for u, v in path:
-            back = values.get((v, u), 0)
-            cancel = min(bottleneck, back)
-            if cancel:
-                values[(v, u)] = back - cancel
-            if bottleneck - cancel:
-                values[(u, v)] += bottleneck - cancel
+        bottleneck = min(spares)
+        for _, f, b in path:  # arc -1 takes 0 and stays 0
+            cancel = min(bottleneck, values[b])
+            values[b] -= cancel
+            values[f] += bottleneck - cancel
         total += bottleneck
 
 
-def _feasible(net: FlowNetwork, flow: Flow) -> tuple[dict, dict[Arc, int]]:
-    """The scaled caps and values of ``flow``, checked feasible."""
+def _reached(net: FlowNetwork, flow: Flow, backward: bool = False) -> frozenset:
+    """The nodes the residual search of ``flow`` reaches, if ``flow`` is maximum."""
     scale, caps, values, total = _scaled(net, flow)
     _certify(net, caps, values, total, scale)
-    return caps, values
+    parent = _search(net, caps, values, backward)
+    if parent[net.index.source if backward else net.index.sink] is not None:
+        raise FlowError("flow is not maximum: augmenting path exists")
+    return frozenset(node for node, entry in zip(net.index.nodes, parent) if entry is not None)
 
 
 def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
@@ -332,18 +347,12 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
 
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
-    reachable = _search(net, *_feasible(net, flow))
-    if net.sink in reachable:
-        raise FlowError("flow is not maximum: augmenting path exists")
-    return frozenset(reachable)
+    return _reached(net, flow)
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The maximal minimum cut (source side): nodes that cannot reach the sink."""
-    reaches_sink = _search(net, *_feasible(net, flow), backward=True)
-    if net.source in reaches_sink:
-        raise FlowError("flow is not maximum: augmenting path exists")
-    return frozenset(net.neighbors.keys() - reaches_sink.keys())
+    return frozenset(net.index.nodes) - _reached(net, flow, backward=True)
 
 
 def is_maximum(net: FlowNetwork, flow: Flow) -> bool:
@@ -375,45 +384,42 @@ class ConvexCombination:
         return arcs
 
 
-def _integral_flow_in_box(
-    net: FlowNetwork,
-    lower: dict[Arc, int],
-    loose: Mapping[Arc, int],
-    value: int,
-) -> dict[Arc, int]:
+def _integral_flow_in_box(net: FlowNetwork, lower: list[int], loose: Mapping[int, int], value: int) -> list[int]:
     """An integral flow of the given value with lower <= g <= lower + 1 on the
-    ``loose`` arcs and g == lower on every other arc.
+    ``loose`` arcs and g == lower on every other arc, all by arc id.
 
-    Standard lower-bound reduction: shift out the lower bounds, force the value
-    with a zero-slack return arc, and saturate the induced super-source.
+    Standard lower-bound reduction: shift out the lower bounds and saturate the
+    induced super-source. The helper keeps ``net``'s ids, arcs (cap 1 if loose,
+    else 0) and rows, and adds a super source n, a super sink n + 1 and their arcs.
     """
-    super_source, super_sink = "@@box_source", "@@box_sink"
-    excess: dict[str, int] = {}
-    helper_arcs: dict[Arc, int] = {}
-    for arc, lo in lower.items():
-        u, v = arc
-        if arc in loose:
-            helper_arcs[("n:" + u, "n:" + v)] = 1
-        excess[v] = excess.get(v, 0) + lo
-        excess[u] = excess.get(u, 0) - lo
-    excess[net.source] = excess.get(net.source, 0) + value
-    excess[net.sink] = excess.get(net.sink, 0) - value
-    helper_arcs[("n:" + net.sink, "n:" + net.source)] = 0
-    need = 0
-    for node, amount in excess.items():
-        if amount > 0:
-            helper_arcs[(super_source, "n:" + node)] = amount
-            need += amount
-        elif amount < 0:
-            helper_arcs[("n:" + node, super_sink)] = -amount
-    helper = FlowNetwork(super_source, super_sink, helper_arcs)
-    solved = max_flow(helper)
-    if solved.value != need:
+    idx = net.index
+    n, m = len(idx.nodes), len(idx.arcs)
+    excess = [0] * n
+    for lo, u, v in zip(lower, idx.tails, idx.heads):
+        excess[v] += lo
+        excess[u] -= lo
+    excess[idx.source] += value
+    excess[idx.sink] -= value
+    tails, heads, caps = [*idx.tails], [*idx.heads], [int(a in loose) for a in range(m)]
+    rows = [*idx.rows, [], []]
+    # super arcs in reverse name order, each put first in both its rows: a row
+    # lists its super neighbor first, and the super rows list nodes in name order
+    for _, node in sorted(((idx.nodes[k], k) for k in range(n) if excess[k]), reverse=True):
+        tail, head = (n, node) if excess[node] > 0 else (node, n + 1)
+        rows[tail] = [(head, len(caps), -1), *rows[tail]]
+        rows[head] = [(tail, -1, len(caps)), *rows[head]]
+        tails.append(tail)
+        heads.append(head)
+        caps.append(abs(excess[node]))
+    arcs = list(zip(tails, heads))
+    index = _Index(range(n + 2), arcs, tails, heads, rows, n, n + 1)
+    solved = max_flow(_built(n, n + 1, dict(zip(arcs, caps)), index=index, scaled_caps=(1, caps + [0])))
+    if solved.value != sum(x for x in excess if x > 0):
         raise FlowError("no integral maximum flow inside the rounding box")
     shifted = solved.values
     if shifted.scale != 1:
         raise FlowError("box flow came out fractional")
-    return {arc: lo + shifted.ints.get(("n:" + arc[0], "n:" + arc[1]), 0) for arc, lo in lower.items()}
+    return [lo + x for lo, x in zip(lower, [*shifted.ints.values()][:m])] + [0]
 
 
 def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
@@ -424,16 +430,13 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     rounding box [floor(f), ceil(f)], peel it with the largest weight that keeps
     the remainder inside the box, and recurse. Each peel pins at least one
     fractional arc to an integer, so the support has at most #arcs + 1 members.
-
-    The peeling runs on ints: ``rest`` (the unpeeled flow) and ``left`` (its
-    weight) times the flow's common denominator, so the remainder is
-    ``rest / left``. Each member is certified against the input's minimum cut.
+    The peeling runs on ints by arc id: ``rest`` (the unpeeled flow) and
+    ``left`` (its weight) times the flow's common denominator, so the remainder
+    is ``rest / left``. Each member is certified against the input's minimum cut.
     """
     for arc, cap in net.arcs.items():
         if cap is not None and cap.denominator != 1:
             raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
-    # unit-scale caps, whatever scale the network's own scaled caps have
-    caps = {arc: None if cap is None else cap.numerator for arc, cap in net.arcs.items()}
     try:
         cut = min_cut(net, flow)
     except FlowError as exc:
@@ -441,35 +444,32 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     if flow.value.denominator != 1:
         raise FlowError("maximum flow value is fractional despite integer capacities")
     target = int(flow.value)
-    scale, _, scaled, _ = _scaled(net, flow)
+    idx = net.index
+    _, caps = net.scaled_caps  # integer caps: their least common denominator is 1
+    scale, _, rest, _ = _scaled(net, flow)
+    side = [node in cut for node in idx.nodes]
 
-    rest = {arc: scaled.get(arc, 0) for arc in net.arcs}
     left = scale
     entries: list[tuple[Flow, Fraction]] = []
     for _ in range(len(net.arcs) + 1):
-        lower: dict[Arc, int] = {}
-        loose: dict[Arc, int] = {}
-        for arc, x in rest.items():
-            lower[arc], r = divmod(x, left)
-            if r:
-                loose[arc] = r
+        lower = [x // left for x in rest]
+        loose = {a: r for a, x in enumerate(rest) if (r := x % left)}
         if loose:
             integral = _integral_flow_in_box(net, lower, loose, target)
-            weight = min(r if integral[arc] > lower[arc] else left - r for arc, r in loose.items())
+            weight = min(r if integral[a] > lower[a] else left - r for a, r in loose.items())
         else:
             integral, weight = lower, left
-        _certify(net, caps, integral, target, 1, side=cut)
-        member = Flow(values=ScaledValues(1, integral), value=Fraction(target))
+        _certify(net, caps, integral, target, 1, side=side)
+        member = Flow(values=ScaledValues(1, dict(zip(idx.arcs, integral))), value=Fraction(target))
         entries.append((member, Fraction(weight, scale)))
-        for arc, g in integral.items():
-            rest[arc] -= weight * g
+        rest = [x - weight * g for x, g in zip(rest, integral)]
         left -= weight
         if not left:
             break
     else:
         raise FlowError("decomposition failed to terminate")
 
-    for arc, x in rest.items():
+    for arc, x in zip(idx.arcs, rest):
         if x:
             raise FlowError(f"decomposition does not reproduce the flow on arc {arc!r}")
     return ConvexCombination(entries=tuple(entries))

@@ -447,25 +447,27 @@ def _matching_from_member(
     components: list[tuple[int, tuple[str, ...], tuple[str, ...], tuple[tuple[str, str], ...]]],
     member: Flow,
 ) -> BMatching:
-    """The b-matching of one integral member; ``components`` lists each
-    multi-node odd component's index, its nodes sorted and in instance order,
-    and its induced edges."""
+    """The b-matching of one integral member of :func:`decompose_max_flow`,
+    read on its ints: an arc is integral when its int is a multiple of the
+    scale. ``components`` lists each multi-node odd component's index, its
+    nodes sorted and in instance order, and its induced edges."""
+    ints, scale = member.values.ints, member.values.scale
     multiplicities = dict(perfect_part.multiplicities)
     for arc, tag in construction.provenance.items():
         if tag[0] == "exchange":
-            amount = member.on(*arc)
-            if amount.denominator != 1:
+            amount, fraction = divmod(ints.get(arc, 0), scale)
+            if fraction:
                 raise MechanismError("integral member has a fractional exchange arc")
             if amount:
                 edge = tag[1]
-                multiplicities[edge] = multiplicities.get(edge, 0) + int(amount)
+                multiplicities[edge] = multiplicities.get(edge, 0) + amount
     for index, component, order, edges in components:
         targets = {}
         for node in component:
-            amount = member.on(_a(node), _component(index))
-            if amount.denominator != 1:
+            amount, fraction = divmod(ints.get((_a(node), _component(index)), 0), scale)
+            if fraction:
                 raise MechanismError("integral member has a fractional component arc")
-            targets[node] = int(amount)
+            targets[node] = amount
         realized = _realize({node: targets[node] for node in order}, edges)
         if realized is None:
             raise MechanismError(
@@ -476,10 +478,10 @@ def _matching_from_member(
     matching.check_feasible(inst)
     utilities = matching.utilities(inst)
     for agent in construction.agents:
-        outflow = member.on(*construction.supply_arcs[agent])
-        if utilities[agent] != outflow:
+        outflow = ints.get(construction.supply_arcs[agent], 0)
+        if utilities[agent] * scale != outflow:
             raise MechanismError(
-                f"agent {agent!r}: matched {utilities[agent]} but the member ships {outflow}"
+                f"agent {agent!r}: matched {utilities[agent]} but the member ships {Fraction(outflow, scale)}"
             )
     return matching
 

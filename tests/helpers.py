@@ -31,7 +31,7 @@ from fairmatch import (
     maximal_min_cut,
     min_cut,
 )
-from fairmatch.flows import FlowError, _residual, _search, _tree_path, is_maximum
+from fairmatch.flows import FlowError, is_maximum
 from fairmatch.matching import gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.mechanism import (
     SINK,
@@ -253,6 +253,47 @@ def reference_check_feasible(net: FlowNetwork, flow: Flow) -> None:
         raise FlowError("flow value does not match net outflow of the source")
 
 
+def _residual(caps, values, u: str, v: str) -> Fraction | int | None:
+    """Residual capacity from u to v under ``caps``; None means unbounded. A
+    missing arc or flow value counts as 0."""
+    back = values.get((v, u), 0)
+    if (u, v) not in caps:
+        return back
+    cap = caps[(u, v)]
+    return None if cap is None else cap - values.get((u, v), 0) + back
+
+
+def reference_search(net: FlowNetwork, caps, values, backward: bool = False) -> dict[str, str]:
+    """BFS parent map of the residual network of ``values`` under ``caps``, on
+    node names and arc-keyed dicts: forward from the source, or backward from
+    the sink (along residual arcs into each node). Stops once it reaches the
+    other terminal. The reference for ``fairmatch.flows._search``."""
+    start, goal = (net.sink, net.source) if backward else (net.source, net.sink)
+    nbrs = net.neighbors
+    parent = {start: start}
+    queue = deque([start])
+    while queue and goal not in parent:
+        u = queue.popleft()
+        for v in nbrs[u]:
+            if v in parent:
+                continue
+            spare = _residual(caps, values, v, u) if backward else _residual(caps, values, u, v)
+            if spare is None or spare > 0:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def _tree_path(parent: dict[str, str], v: str) -> list[tuple[str, str]]:
+    """Arcs of the search-tree path from the root of ``parent`` to ``v``."""
+    path: list[tuple[str, str]] = []
+    while parent[v] != v:
+        path.append((parent[v], v))
+        v = parent[v]
+    path.reverse()
+    return path
+
+
 def _reference_cancel_excess(net: FlowNetwork, values: dict[tuple[str, str], Fraction]) -> Fraction:
     """``fairmatch.flows._cancel_excess`` on exact ``Fraction`` flow values."""
     source, sink = net.source, net.sink
@@ -295,7 +336,7 @@ def reference_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         total = start.value - _reference_cancel_excess(net, values)
         reference_check_feasible(net, Flow(values=values, value=total))
     while True:
-        parent = _search(net, net.arcs, values)
+        parent = reference_search(net, net.arcs, values)
         if net.sink not in parent:
             return Flow(values=values, value=total)
         path = _tree_path(parent, net.sink)

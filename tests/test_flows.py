@@ -16,9 +16,10 @@ from fairmatch import (
     flows,
     max_flow,
     maximal_min_cut,
+    mechanism,
     min_cut,
 )
-from fairmatch.flows import Flow, _search, is_maximum
+from fairmatch.flows import Flow, is_maximum
 
 from golden.record import MEMBERS, seeded_instance
 from helpers import (
@@ -29,6 +30,7 @@ from helpers import (
     reference_decompose_max_flow,
     reference_egalitarian_profile,
     reference_max_flow,
+    reference_search,
     reversed_network,
 )
 
@@ -69,6 +71,7 @@ def test_with_caps_shares_neighbor_lists():
     net = simple_net({("s", "a"): 2, ("a", "b"): None, ("b", "t"): 3, ("s", "t"): 1})
     capped = net.with_caps({("s", "a"): 1})
     assert capped.neighbors is net.neighbors
+    assert capped.index is net.index
     assert capped.arcs[("s", "a")] == 1 and net.arcs[("s", "a")] == 2
 
 
@@ -224,7 +227,7 @@ def test_decompose_certifies_each_member(monkeypatch):
         values={("s", "m"): Fraction(1), ("m", "p"): half, ("m", "q"): half, ("p", "t"): half, ("q", "t"): half},
         value=Fraction(1),
     )
-    monkeypatch.setattr(flows, "_integral_flow_in_box", lambda net, lower, loose, value: dict(lower))
+    monkeypatch.setattr(flows, "_integral_flow_in_box", lambda net, lower, loose, value: list(lower))
     with pytest.raises(FlowError, match="conservation violated at 'm'"):
         decompose_max_flow(net, fractional)
 
@@ -371,19 +374,18 @@ def _same_as_reference(net: FlowNetwork, start: Flow | None = None) -> Flow:
     assert flow == as_fractions == reference and repr(flow) == repr(as_fractions)
     assert flow.values.scale == lcm(*(x.denominator for x in [*flow.values.values(), flow.value]))
     # the returned cut is what the Fraction search reaches on the reference flow
-    assert flow.cut == frozenset(_search(net, net.arcs, reference.values))
+    assert flow.cut == frozenset(reference_search(net, net.arcs, reference.values))
     return flow
 
 
 def _same_caps_as_fresh(net: FlowNetwork) -> FlowNetwork:
     """A network built from ``net``'s caps, after checking that ``net``'s
-    scaled caps stand for the same caps on a multiple of the fresh scale."""
+    scaled caps are the fresh network's: the caps on their least scale."""
     fresh = FlowNetwork(net.source, net.sink, dict(net.arcs))
-    scale, caps = net.scaled_caps
     fresh_scale, fresh_caps = fresh.scaled_caps
     assert fresh_scale == lcm(*(cap.denominator for cap in net.arcs.values() if cap is not None))
-    assert scale % fresh_scale == 0
-    assert caps == {arc: None if cap is None else cap * (scale // fresh_scale) for arc, cap in fresh_caps.items()}
+    assert fresh_caps == [*(None if cap is None else cap * fresh_scale for cap in net.arcs.values()), 0]
+    assert net.scaled_caps == (fresh_scale, fresh_caps)
     return fresh
 
 
@@ -407,7 +409,8 @@ def test_scaled_solver_matches_fraction_reference(chunk):
         _same_as_reference(capped, start)
         over = [arc for arc, cap in capped.arcs.items() if cap is not None and start.values[arc] > cap]
         both_excess += any(u == "s" for u, _ in over) and any(v == "t" for _, v in over)
-        # copies of copies derive their scaled caps from their parent's
+        # copies of copies derive their scaled caps from their parent's, and
+        # drop the denominators of the caps they replace
         chained = capped
         for _ in range(3):
             overrides = {}
@@ -415,12 +418,14 @@ def test_scaled_solver_matches_fraction_reference(chunk):
                 if rng.random() < 0.5:
                     finite = u == "s" or v == "t" or rng.random() < 0.7
                     overrides[(u, v)] = Fraction(rng.randint(0, 9), rng.randint(1, 12)) if finite else None
+            derived = lcm(chained.scaled_caps[0], *(cap.denominator for cap in overrides.values() if cap is not None))
             chained = chained.with_caps(overrides)
-            grown += chained.scaled_caps[0] > _same_caps_as_fresh(chained).scaled_caps[0]
+            _same_caps_as_fresh(chained)
+            grown += derived > chained.scaled_caps[0]
         _same_as_reference(chained)
-        # rounded up, the caps are integers on the scale of the fractional ones
+        # rounded up, the caps are integers: a copy of fractional caps on scale 1
         integral = chained.with_caps({arc: Fraction(ceil(cap)) for arc, cap in chained.arcs.items() if cap is not None})
-        rescaled += integral.scaled_caps[0] > 1
+        rescaled += chained.scaled_caps[0] > integral.scaled_caps[0] == 1
         fresh = _same_caps_as_fresh(integral)
         solved = [max_flow(integral), _relabeled_max_flow(integral, rng)]
         mixed = Flow({arc: (solved[0].values[arc] + solved[1].values[arc]) / 2 for arc in integral.arcs}, solved[0].value)
@@ -547,14 +552,59 @@ def test_warm_fill_matches_cold_fill_at_scale(build, seed, n):
     assert warm.breakpoints == cold.breakpoints
 
 
+def _fill_chain(construction) -> list[tuple[FlowNetwork, Flow | None]]:
+    """Every network the fill solves and the flow it starts from, in order."""
+    chain = []
+    original = mechanism.max_flow
+
+    def recorded(net, start=None):
+        chain.append((net, start))
+        return original(net, start)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mechanism, "max_flow", recorded)
+        egalitarian_profile(construction)
+    return chain
+
+
+@pytest.mark.parametrize(
+    "build, seed, n",
+    [(build, seed, 80) for seed in (1, 2) for build in (build_indivisible, build_divisible)]
+    + [(build_indivisible, 1, 160), (build_divisible, 2, 160)],
+)
+def test_indexed_engine_matches_fraction_reference_over_fill_chains(build, seed, n):
+    # the fill's whole probe chain at scale, its first probe cold and every
+    # later one warm: the indexed engine gives the Fraction reference's flow
+    # (key order included), value and cut, and the same two cuts of that flow.
+    # The other two fills at n=160 would about double the time of this test;
+    # they are filled, and scale-checked, below
+    chain = _fill_chain(build(seeded_instance(seed, n, 3)))
+    assert chain[0][1] is None and all(start is not None for _, start in chain[1:])
+    for net, start in chain:
+        flow = _same_as_reference(net, start)
+        assert min_cut(net, flow) == flow.cut
+        reaches_sink = reference_search(net, net.arcs, flow.values, backward=True)
+        assert maximal_min_cut(net, flow) == net.neighbors.keys() - reaches_sink.keys()
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fill_probes_solve_on_the_least_scale(build, seed):
+    # each probe's network is a copy of a copy of the construction's, and a
+    # copy keeps no denominator of a cap it replaced: before this, the chains
+    # here carried scales of 20-23 bits where 8-10 were enough
+    for net, _ in _fill_chain(build(seeded_instance(seed, 160, 3))):
+        assert net.scaled_caps[0] == lcm(*(cap.denominator for cap in net.arcs.values() if cap is not None))
+
+
 def test_certificate_rejects_a_flow_one_path_short(monkeypatch):
     # the solver's last augmenting search is made to miss the sink: the flow is
     # feasible, and the cut certificate refuses it because no cut is that small
     short = simple_net({("s", "t"): 3})
     scale, caps, values, total = flows._scaled(short, Flow({("s", "t"): Fraction(2)}, Fraction(2)))
     with pytest.raises(FlowError, match="not maximum"):
-        flows._certify(short, caps, values, total, scale, side={"s"})
-    flows._certify(short, caps, {("s", "t"): 3}, 3, scale, side={"s"})
+        flows._certify(short, caps, values, total, scale, side=[True, False])
+    flows._certify(short, caps, [3, 0], 3, scale, side=[True, False])
     original = flows._search
     refused = 0
     for seed in range(60):
@@ -574,7 +624,7 @@ def test_certificate_rejects_a_flow_one_path_short(monkeypatch):
             counts["searches"] += 1
             parent = original(*args, **kwargs)
             if counts["searches"] == last_augmenting:
-                del parent[net.sink]
+                parent[net.index.sink] = None
             return parent
 
         counts["searches"] = 0

@@ -13,6 +13,7 @@ from fairmatch import (
     build_divisible,
     build_indivisible,
     build_lottery,
+    decompose_max_flow,
     egalitarian_divisible,
     egalitarian_lp,
     egalitarian_profile,
@@ -20,10 +21,11 @@ from fairmatch import (
     indivisible_outcome,
     max_bmatching,
     max_flow,
+    mechanism,
     probabilistic_marginals,
     sample_lottery,
 )
-from fairmatch.flows import Flow, is_maximum
+from fairmatch.flows import ConvexCombination, Flow, ScaledValues, is_maximum
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
 from golden.record import seeded_instance
@@ -450,6 +452,21 @@ def test_lottery_rejects_a_flow_of_another_network(tri):
     profile, _ = egalitarian_divisible(tri)
     with pytest.raises(MechanismError, match="no flow of this construction"):
         build_lottery(tri, build_indivisible(tri), profile)
+
+
+@pytest.mark.parametrize("kind", ["exchange", "component"])
+def test_lottery_refuses_a_member_with_a_fractional_arc(hub15, monkeypatch, kind):
+    # members are read on their own ints: on a member over scale 2, an odd int
+    # on one exchange or component arc is half a unit there
+    built = build_indivisible(hub15)
+    profile = egalitarian_profile(built)
+    (member, weight), *rest = decompose_max_flow(built.network, profile.flow).entries
+    arc = next(arc for arc, tag in built.provenance.items() if tag[0] == kind)
+    halved = Flow(ScaledValues(2, {a: 2 * x + (a == arc) for a, x in member.values.ints.items()}), member.value)
+    combination = ConvexCombination(((halved, weight), *rest))
+    monkeypatch.setattr(mechanism, "decompose_max_flow", lambda net, flow: combination)
+    with pytest.raises(MechanismError, match=f"integral member has a fractional {kind} arc"):
+        build_lottery(hub15, built, profile)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -128,7 +128,48 @@ def test_manipulation_builds_no_lottery(hub15, calls):
 
 
 @pytest.fixture
+def network_builds(monkeypatch):
+    # networks validated by the constructor, and indexes built from names
+    counts = {"networks": 0, "indexes": 0}
+    post_init, index = flows.FlowNetwork.__post_init__, flows.FlowNetwork.index.func
+
+    def counted_network(net):
+        counts["networks"] += 1
+        post_init(net)
+
+    def counted_index(net):
+        counts["indexes"] += 1
+        return index(net)
+
+    monkeypatch.setattr(flows.FlowNetwork, "__post_init__", counted_network)
+    monkeypatch.setattr(flows.FlowNetwork.index, "func", counted_index)
+    return counts
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+def test_fill_builds_the_index_once(hub15, network_builds, build):
+    # every probe's network is a with_caps copy sharing the construction
+    # network's ids and residual rows
+    construction = build(hub15)
+    egalitarian_profile(construction)
+    assert network_builds == {"networks": 1, "indexes": 1}
+
+
+def test_decomposition_builds_no_network_per_peel(hub15, network_builds, calls):
+    # each box solve runs on the parent's ids plus two super nodes: a network
+    # of prefixed names, validated and sorted, per peel took 2 here
+    construction = build_indivisible(hub15)
+    flow = egalitarian_profile(construction).flow
+    network_builds.update(networks=0, indexes=0)
+    calls["max_flow"] = 0
+    combination = flows.decompose_max_flow(construction.network, flow)
+    assert len(combination.entries) == 3 and calls["max_flow"] == 2
+    assert network_builds == {"networks": 0, "indexes": 0}
+
+
+@pytest.fixture
 def residual_searches(monkeypatch):
+    # the indexed residual search, under the name the string-keyed one had
     counts = {"searches": 0}
     original = flows._search
 
