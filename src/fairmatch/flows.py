@@ -153,9 +153,6 @@ class Flow:
     value: Fraction
     cut: frozenset[str] | None = field(default=None, compare=False, repr=False)
 
-    def on(self, u: str, v: str) -> Fraction:
-        return self.values.get((u, v), Fraction(0))
-
     def to_json(self) -> list[dict]:
         return [
             {"from": u, "to": v, "amount": format_rational(x)}

@@ -263,10 +263,6 @@ class ExpandedInstance:
         }
 
     @cached_property
-    def copy_nodes(self) -> tuple[str, ...]:
-        return tuple(copy for group in self.copies.values() for copy in group)
-
-    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         copies = self.copies
         return tuple(
@@ -305,7 +301,7 @@ class BMatching:
 
     def __post_init__(self) -> None:
         for edge, mult in self.multiplicities.items():
-            if not isinstance(mult, int) or mult < 0:
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
                 raise InstanceError(f"edge {edge!r}: multiplicity must be a nonnegative integer")
 
     def utilities(self, inst: Instance) -> dict[str, int]:

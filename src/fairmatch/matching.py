@@ -349,7 +349,7 @@ def realize_targets(inst: Instance, targets: Mapping[str, int]) -> BMatching | N
     if set(targets) != set(inst.peaks):
         raise MatchingError("targets must cover exactly the instance nodes")
     for node, t in targets.items():
-        if not isinstance(t, int) or t < 0:
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise MatchingError(f"node {node!r}: target must be a nonnegative integer")
         if t > inst.peaks[node]:
             raise MatchingError(f"node {node!r}: target {t} exceeds peak {inst.peaks[node]}")

@@ -440,52 +440,6 @@ class Lottery:
         ]
 
 
-def _matching_from_member(
-    inst: Instance,
-    construction: BipartiteConstruction,
-    perfect_part: BMatching,
-    components: list[tuple[int, tuple[str, ...], tuple[str, ...], tuple[tuple[str, str], ...]]],
-    member: Flow,
-) -> BMatching:
-    """The b-matching of one integral member of :func:`decompose_max_flow`,
-    read on its ints: an arc is integral when its int is a multiple of the
-    scale. ``components`` lists each multi-node odd component's index, its
-    nodes sorted and in instance order, and its induced edges."""
-    ints, scale = member.values.ints, member.values.scale
-    multiplicities = dict(perfect_part.multiplicities)
-    for arc, tag in construction.provenance.items():
-        if tag[0] == "exchange":
-            amount, fraction = divmod(ints.get(arc, 0), scale)
-            if fraction:
-                raise MechanismError("integral member has a fractional exchange arc")
-            if amount:
-                edge = tag[1]
-                multiplicities[edge] = multiplicities.get(edge, 0) + amount
-    for index, component, order, edges in components:
-        targets = {}
-        for node in component:
-            amount, fraction = divmod(ints.get((_a(node), _component(index)), 0), scale)
-            if fraction:
-                raise MechanismError("integral member has a fractional component arc")
-            targets[node] = amount
-        realized = _realize({node: targets[node] for node in order}, edges)
-        if realized is None:
-            raise MechanismError(
-                f"component {component!r}: internal targets {targets!r} are unrealizable"
-            )
-        multiplicities.update(realized.multiplicities)
-    matching = BMatching({edge: mult for edge, mult in multiplicities.items() if mult})
-    matching.check_feasible(inst)
-    utilities = matching.utilities(inst)
-    for agent in construction.agents:
-        outflow = ints.get(construction.supply_arcs[agent], 0)
-        if utilities[agent] * scale != outflow:
-            raise MechanismError(
-                f"agent {agent!r}: matched {utilities[agent]} but the member ships {Fraction(outflow, scale)}"
-            )
-    return matching
-
-
 def build_lottery(
     inst: Instance, construction: BipartiteConstruction, profile: UtilityProfile
 ) -> Lottery:
@@ -493,7 +447,11 @@ def build_lottery(
     b-matchings: decompose the profile's maximum flow, which must be a flow of
     this construction's network (the water-fill's own), then map every integral
     member back to a b-matching (perfect side internally, over-demanded exchange
-    from the arcs, components completed to their internal totals)."""
+    from the arcs, components completed to their internal totals).
+
+    Each member is read once, on its ints: an arc is integral when its int is a
+    multiple of the member's scale. The expectation is totalled in ints over
+    the weights' common denominator."""
     if construction.kind != "indivisible":
         raise MechanismError("lotteries are defined for the indivisible construction")
     ged = construction.ged
@@ -509,35 +467,59 @@ def build_lottery(
     # Every maximum b-matching matches V^P perfectly inside V^P (Gallai-Edmonds
     # structure theorem), so the decomposition's own matching holds that part.
     perfect_part = BMatching(
-        {
-            edge: mult
-            for edge, mult in ged.matching.multiplicities.items()
-            if edge[0] in ged.perfect and edge[1] in ged.perfect
-        }
+        {edge: mult for edge, mult in ged.matching.multiplicities.items() if ged.perfect.issuperset(edge)}
     )
     degrees = perfect_part.utilities(inst)
     if any(degrees[node] != inst.peaks[node] for node in ged.perfect):
         raise MechanismError("perfectly matched agents cannot be saturated internally")
 
+    # What every member is read on: the exchange arcs with their edges, and per multi-node
+    # odd component its arc per node in instance order (_realize's order) and its edges.
+    exchange = [(arc, tag[1]) for arc, tag in construction.provenance.items() if tag[0] == "exchange"]
     components = []
     for index, component in enumerate(ged.odd_components):
         if len(component) >= 2:
             keep = set(component)
-            order = tuple(node for node in inst.peaks if node in keep)
+            arcs = {node: (_a(node), _component(index)) for node in inst.peaks if node in keep}
             edges = tuple(e for e in inst.edges if e[0] in keep and e[1] in keep)
-            components.append((index, component, order, edges))
+            components.append((component, arcs, edges))
+    denominator = lcm(*(weight.denominator for _, weight in combination.entries))
+    expected = dict.fromkeys(construction.supply_arcs, 0)  # times the denominator
     entries = []
-    expected = {agent: Fraction(0) for agent in construction.agents}
     for member, weight in combination.entries:
-        matching = _matching_from_member(inst, construction, perfect_part, components, member)
-        if matching.total_utility != flow.value:
-            raise MechanismError("lottery member is not a maximum b-matching")
+        ints, scale = member.values.ints, member.values.scale
+        multiplicities = dict(perfect_part.multiplicities)
+        for arc, edge in exchange:  # one arc per edge, none inside V^P
+            amount, fraction = divmod(ints[arc], scale)
+            if fraction:
+                raise MechanismError("integral member has a fractional exchange arc")
+            multiplicities[edge] = amount
+        for component, arcs, edges in components:
+            targets = {}
+            for node, arc in arcs.items():
+                amount, fraction = divmod(ints[arc], scale)
+                if fraction:
+                    raise MechanismError("integral member has a fractional component arc")
+                targets[node] = amount
+            realized = _realize(targets, edges)
+            if realized is None:
+                listed = {node: targets[node] for node in component}
+                raise MechanismError(f"component {component!r}: internal targets {listed!r} are unrealizable")
+            multiplicities.update(realized.multiplicities)
+        matching = BMatching({edge: mult for edge, mult in multiplicities.items() if mult})
+        matching.check_feasible(inst)
         utilities = matching.utilities(inst)
-        for agent in expected:
-            expected[agent] += weight * utilities[agent]
+        share = weight.numerator * (denominator // weight.denominator)
+        for agent, arc in construction.supply_arcs.items():
+            used = utilities[agent]
+            if used * scale != ints[arc]:
+                raise MechanismError(f"agent {agent!r}: matched {used} but the member ships {member.values[arc]}")
+            expected[agent] += share * used
+        if sum(utilities.values()) != flow.value:
+            raise MechanismError("lottery member is not a maximum b-matching")
         entries.append((matching, weight))
-    for agent in expected:
-        if expected[agent] != profile[agent]:
+    for agent, total in expected.items():
+        if Fraction(total, denominator) != profile[agent]:
             raise MechanismError(f"lottery expectation misses the profile at {agent!r}")
     return Lottery(entries=tuple(entries), flow=flow, combination=combination)
 

@@ -670,8 +670,13 @@ def parent(expanded: ExpandedInstance, copy: str) -> str:
     return node
 
 
+def copy_nodes(expanded: ExpandedInstance) -> tuple[str, ...]:
+    """Every copy's name, in copy order."""
+    return tuple(copy for group in expanded.copies.values() for copy in group)
+
+
 def copy_adjacency(expanded: ExpandedInstance) -> dict[str, tuple[str, ...]]:
-    nbrs: dict[str, list[str]] = {copy: [] for copy in expanded.copy_nodes}
+    nbrs: dict[str, list[str]] = {copy: [] for copy in copy_nodes(expanded)}
     for u, v in expanded.edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
@@ -697,7 +702,7 @@ def contract_matching(expanded: ExpandedInstance, matching: Iterable[tuple[str, 
 
 def _full_expansion_mate(inst: Instance):
     expanded = expand_nodes(inst.peaks, inst.edges)
-    nodes = expanded.copy_nodes
+    nodes = copy_nodes(expanded)
     index, adj = indexed_graph(nodes, expanded.edges)
     return expanded, nodes, index, adj, maximum_matching_indices(len(nodes), adj, [-1] * len(nodes))
 

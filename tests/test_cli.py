@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fairmatch import cli, matching
+from fairmatch import build_divisible, cli, matching
+from fairmatch.flows import Flow
 
 from helpers import hub15_json
 
@@ -293,6 +294,37 @@ def test_manipulate_hide_edge_cli(capsys, tmp_path):
     assert status == 0
     payload = json.loads(out)
     assert payload["deltas"] == {"s4": "0/1", "s7": "1/4"}
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--report-peak", "x", "expected ID=PEAK, got 'x'"),
+        ("--report-peak", "a=b", "peak in 'a=b' must be an integer"),
+        ("--hide-edge", "ab", "expected U:V, got 'ab'"),
+    ],
+)
+def test_manipulate_malformed_flag_is_validation_error(capsys, triangle_file, flag, value, message):
+    assert run_cli("manipulate", triangle_file, "--coalition", "a", flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_verify_divisible_efficiency_fails_on_a_flow_that_is_not_maximum(capsys, hub15_file, monkeypatch):
+    # the zero flow of the doubled network, carried by the rule's own profile
+    original = cli.egalitarian_divisible
+
+    def zero_flow(inst):
+        profile, exchange = original(inst)
+        zero = Flow(values=dict.fromkeys(build_divisible(inst).network.arcs, Fraction(0)), value=Fraction(0))
+        return dataclasses.replace(profile, flow=zero), exchange
+
+    monkeypatch.setattr(cli, "egalitarian_divisible", zero_flow)
+    status, out = run_cli_capture(capsys, "verify", hub15_file)
+    assert status == 2
+    checks = {check["name"]: check["status"] for check in json.loads(out)["checks"]}
+    assert checks["divisible-efficiency"] == "fail"
 
 
 def test_manipulate_empty_coalition_is_validation_error(capsys, triangle_file):

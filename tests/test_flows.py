@@ -19,7 +19,7 @@ from fairmatch import (
     mechanism,
     min_cut,
 )
-from fairmatch.flows import Flow, is_maximum
+from fairmatch.flows import ConvexCombination, Flow, is_maximum
 
 from golden.record import MEMBERS, seeded_instance
 from helpers import (
@@ -65,6 +65,10 @@ def test_network_validation_errors():
         simple_net({("s", "t"): -1})
     with pytest.raises(FlowError):
         simple_net({("s", "a"): None, ("a", "t"): 1})
+    with pytest.raises(FlowError, match="source and sink must differ"):
+        FlowNetwork("s", "s", {})
+    with pytest.raises(FlowError, match="self-loop arc"):
+        simple_net({("s", "a"): 1, ("a", "a"): 1, ("a", "t"): 1})
 
 
 def test_with_caps_shares_neighbor_lists():
@@ -73,6 +77,12 @@ def test_with_caps_shares_neighbor_lists():
     assert capped.neighbors is net.neighbors
     assert capped.index is net.index
     assert capped.arcs[("s", "a")] == 1 and net.arcs[("s", "a")] == 2
+
+
+def test_with_caps_rejects_a_missing_arc():
+    net = simple_net({("s", "a"): 2, ("a", "t"): 3})
+    with pytest.raises(FlowError, match=r"cannot override missing arcs \[\('a', 's'\)\]"):
+        net.with_caps({("a", "s"): 1})
 
 
 def test_diamond_doubled_network_value():
@@ -118,6 +128,8 @@ def test_min_cut_rejects_non_maximum_flow():
         min_cut(net, lazy)
     with pytest.raises(FlowError, match="not maximum"):
         maximal_min_cut(net, lazy)
+    assert not is_maximum(net, lazy)
+    assert is_maximum(net, max_flow(net))
 
 
 def test_min_cut_rejects_infeasible_flow():
@@ -230,6 +242,20 @@ def test_decompose_certifies_each_member(monkeypatch):
     monkeypatch.setattr(flows, "_integral_flow_in_box", lambda net, lower, loose, value: list(lower))
     with pytest.raises(FlowError, match="conservation violated at 'm'"):
         decompose_max_flow(net, fractional)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ((Fraction(3, 2), Fraction(-1, 2)), r"weights must lie in \(0, 1\]"),
+        ((Fraction(0), Fraction(1)), r"weights must lie in \(0, 1\]"),
+        ((Fraction(1, 2), Fraction(1, 3)), "weights must sum to exactly 1"),
+    ],
+)
+def test_convex_combination_validation(weights, message):
+    member = Flow(values={("s", "t"): Fraction(1)}, value=Fraction(1))
+    with pytest.raises(FlowError, match=message):
+        ConvexCombination(tuple((member, w) for w in weights))
 
 
 def test_decompose_rejects_bad_inputs():

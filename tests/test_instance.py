@@ -22,6 +22,7 @@ from fairmatch.oracle import enumerate_bmatchings
 
 from helpers import (
     contract_matching,
+    copy_nodes,
     hub15_json,
     indexed_graph,
     parent,
@@ -62,6 +63,13 @@ def test_parse_self_loop_rejected():
         (lambda d: d["edges"].append({"u": "a", "v": "zz"}), "not a declared node"),
         (lambda d: d["edges"][0].update(cap=0), "capacity must be a positive integer"),
         (lambda d: d["nodes"][0].pop("peak"), r"nodes\[0\]"),
+        (lambda d: d.update(name=3), "field 'name' must be a string"),
+        (lambda d: d.update(nodes={"a": 1}), "field 'nodes' must be a list"),
+        (lambda d: d.update(edges={"u": "a", "v": "b"}), "field 'edges' must be a list"),
+        (lambda d: d["nodes"][0].update(id=""), r"nodes\[0\]\.id: must be a non-empty string"),
+        (lambda d: d["nodes"][1].update(id=7), r"nodes\[1\]\.id: must be a non-empty string"),
+        (lambda d: d["edges"][0].pop("v"), r"edges\[0\]: expected an object with 'u' and 'v'"),
+        (lambda d: d["edges"][0].update(u=1), r"edges\[0\]: endpoints must be strings"),
     ],
 )
 def test_parse_validation_errors(mutate, message):
@@ -73,6 +81,12 @@ def test_parse_validation_errors(mutate, message):
     mutate(data)
     with pytest.raises(InstanceError, match=message):
         parse_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"triangle"', "null"])
+def test_parse_rejects_a_non_object_file(text):
+    with pytest.raises(InstanceError, match="instance file must be a JSON object"):
+        parse_instance(text)
 
 
 def test_parse_syntax_error_reports_location():
@@ -95,7 +109,7 @@ def test_json_round_trip():
 
 def test_expand_unit_triangle_is_identity_shaped(tri):
     expanded = expand_nodes(tri.peaks, tri.edges)
-    assert expanded.copy_nodes == ("a#1", "b#1", "c#1")
+    assert copy_nodes(expanded) == ("a#1", "b#1", "c#1")
     assert len(expanded.edges) == 3
 
 
@@ -109,7 +123,7 @@ def test_expand_single_edge_mixed_peaks():
 def test_expand_hub15_copy_count_is_peak_sum(hub15):
     expanded = expand_nodes(hub15.peaks, hub15.edges)
     assert sum(hub15.peaks.values()) == 40
-    assert len(expanded.copy_nodes) == 40
+    assert len(copy_nodes(expanded)) == 40
     for node, copies in expanded.copies.items():
         assert len(copies) == hub15.peaks[node]
 
@@ -135,11 +149,12 @@ def test_integer_expansion_matches_its_string_view():
         rng.shuffle(edges)
         inst = Instance.build("random", [(f"n{label}", rng.randint(1, 15)) for label in labels], edges)
         expanded = expand_nodes(inst.peaks, inst.edges)
-        assert expanded.adj == indexed_graph(expanded.copy_nodes, expanded.edges)[1]
+        names = copy_nodes(expanded)
+        assert expanded.adj == indexed_graph(names, expanded.edges)[1]
         assert (expanded.copies, expanded.edges) == _eager_expansion(inst)
-        assert [parent(expanded, copy) for copy in expanded.copy_nodes] == expanded.owner
+        assert [parent(expanded, copy) for copy in names] == expanded.owner
         for node, span in expanded.indices.items():
-            assert [expanded.copy_nodes[c] for c in span] == list(expanded.copies[node])
+            assert [names[c] for c in span] == list(expanded.copies[node])
 
 
 def test_expand_rejects_capacitated():
@@ -205,6 +220,21 @@ def test_round_trip_exhaustive_small_instances():
             assert back.multiplicities == matching.multiplicities
 
 
+@pytest.mark.parametrize("bad", [True, False, -1, 1.0, "1"])
+def test_bmatching_multiplicities_must_be_nonnegative_ints(bad):
+    with pytest.raises(InstanceError, match=r"edge \('a', 'b'\): multiplicity must be a nonnegative integer"):
+        BMatching({("a", "b"): bad})
+
+
+def test_check_feasible_rejects_non_edges_and_multiplicities_over_caps():
+    capped = Instance.build("caps", [("a", 3), ("b", 3), ("c", 1)], [("a", "b", 2), ("b", "c")])
+    BMatching({("a", "b"): 2, ("b", "c"): 1}).check_feasible(capped)
+    with pytest.raises(InstanceError, match=r"multiplicity on non-edge \('a', 'c'\)"):
+        BMatching({("a", "c"): 1}).check_feasible(capped)
+    with pytest.raises(InstanceError, match=r"edge \('a', 'b'\): multiplicity 3 exceeds capacity 2"):
+        BMatching({("a", "b"): 3}).check_feasible(capped)
+
+
 def test_utility_profile_validation():
     profile = UtilityProfile({"a": Fraction(2, 3), "b": Fraction(2, 3), "c": Fraction(2, 3)})
     assert profile.total == 2
@@ -243,6 +273,8 @@ def test_induced_subinstance(hub15):
     kept = capped.induced(["a", "b", "d"])
     assert kept.edges == (("a", "b"), ("a", "d"))
     assert kept.capacities == {("a", "b"): 2}
+    with pytest.raises(InstanceError, match=r"unknown nodes \['x', 'y'\]"):
+        hub15.induced(["s1", "y", "x"])
 
 
 def test_replace_hide_and_add_edges(path7):
@@ -255,3 +287,5 @@ def test_replace_hide_and_add_edges(path7):
         path7.replace(hide_edges=[("s1", "s7")])
     with pytest.raises(InstanceError):
         path7.replace(add_edges=[("s1", "s2")])
+    with pytest.raises(InstanceError, match="unknown node 'x'"):
+        path7.replace(peaks={"x": 2})

@@ -18,6 +18,7 @@ from fairmatch.oracle import enumerate_bmatchings, pareto_profiles
 from helpers import (
     brute_force_max_matching_size,
     copy_adjacency,
+    copy_nodes,
     deficiency_upper_bound,
     hub15_instance,
     indexed_graph,
@@ -84,7 +85,7 @@ def test_engine_matches_reference_on_copy_graphs():
     for _ in range(60):
         inst = random_connected_instance(rng, max_nodes=8, max_peak=12)
         expanded = expand_nodes(inst.peaks, inst.edges)
-        _, adj = indexed_graph(expanded.copy_nodes, expanded.edges)
+        _, adj = indexed_graph(copy_nodes(expanded), expanded.edges)
         _assert_engine_matches_reference(len(adj), adj)
 
 
@@ -208,7 +209,7 @@ def test_max_bmatching_single_node():
 
 def _expanded_components_without(expanded, removed):
     adjacency = copy_adjacency(expanded)
-    remaining = [c for c in expanded.copy_nodes if c not in removed]
+    remaining = [c for c in copy_nodes(expanded) if c not in removed]
     seen = set()
     components = []
     for start in remaining:
@@ -238,14 +239,14 @@ def test_max_bmatching_hub15_total_34_with_certificate(hub15):
     components = _expanded_components_without(expanded, witness)
     odd = sum(1 for comp in components if len(comp) % 2)
     assert odd == 13 and len(witness) == 7
-    bound = deficiency_upper_bound(len(expanded.copy_nodes), odd, len(witness))
+    bound = deficiency_upper_bound(len(copy_nodes(expanded)), odd, len(witness))
     assert matched.total_utility == 2 * bound
 
 
 def test_expanded_and_bmatching_maxima_agree_small():
     for inst in peaked_instances_up_to_iso(max_nodes=3, max_peak=3):
         expanded = expand_nodes(inst.peaks, inst.edges)
-        index = {c: i for i, c in enumerate(expanded.copy_nodes)}
+        index = {c: i for i, c in enumerate(copy_nodes(expanded))}
         pairs = [(index[u], index[v]) for u, v in expanded.edges]
         brute = brute_force_max_matching_size(len(index), pairs)
         oracle_best = max(
@@ -352,6 +353,16 @@ def test_realize_targets_validation(tri):
         realize_targets(tri, {"a": 2, "b": 0, "c": 0})
     with pytest.raises(MatchingError, match="cover"):
         realize_targets(tri, {"a": 1})
+    with pytest.raises(MatchingError, match="node 'b': target must be a nonnegative integer"):
+        realize_targets(tri, {"a": 1, "b": -1, "c": 0})
+    capped = Instance.build("capped", [("a", 1), ("b", 1)], [("a", "b", 1)])
+    with pytest.raises(MatchingError, match="realize_targets requires an uncapacitated instance"):
+        realize_targets(capped, {"a": 1, "b": 1})
+
+
+def test_realize_targets_refuses_bool_targets(tri):
+    with pytest.raises(MatchingError, match="node 'a': target must be a nonnegative integer"):
+        realize_targets(tri, {"a": True, "b": True, "c": False})
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -7,6 +7,7 @@ import pytest
 from fairmatch import (
     BMatching,
     Instance,
+    InstanceError,
     MechanismError,
     UtilityProfile,
     bipartite_egalitarian,
@@ -160,8 +161,8 @@ def test_divisible_pinned_flow_at_scale(seed, n):
     demand_arcs = {tag[1]: arc for arc, tag in built.provenance.items() if tag[0] == "demand"}
     flow = profile.flow
     for node in inst.nodes:
-        assert flow.on(*built.supply_arcs[node]) == profile[node]
-        assert flow.on(*demand_arcs[node]) == profile[node]
+        assert flow.values.get(built.supply_arcs[node], 0) == profile[node]
+        assert flow.values.get(demand_arcs[node], 0) == profile[node]
     assert is_maximum(built.network, flow)
     assert all(amount >= 0 for amount in exchange.values())
     # equal amounts and equal utilities share one Fraction each
@@ -469,6 +470,57 @@ def test_lottery_refuses_a_member_with_a_fractional_arc(hub15, monkeypatch, kind
         build_lottery(hub15, built, profile)
 
 
+def test_lottery_refuses_unrealizable_component_targets(monkeypatch):
+    # nodes listed out of name order: the targets reach _realize in instance
+    # order and the message prints them in the component's sorted order
+    inst = Instance.build("tri", [("c", 1), ("b", 1), ("a", 1)], [("a", "b"), ("b", "c"), ("a", "c")])
+    orders = []
+
+    def unrealizable(targets, edges):
+        orders.append(list(targets))
+        return None
+
+    monkeypatch.setattr(mechanism, "_realize", unrealizable)
+    with pytest.raises(
+        MechanismError,
+        match=r"component \('a', 'b', 'c'\): internal targets \{'a': \d, 'b': \d, 'c': \d\} are unrealizable",
+    ):
+        indivisible_outcome(inst)
+    assert orders == [["c", "b", "a"]]
+
+
+def test_lottery_refuses_a_member_that_matches_less_than_it_ships(hub15, monkeypatch):
+    # the component s1, s2, s3 ships its internal total, which an empty
+    # realization does not match
+    monkeypatch.setattr(mechanism, "_realize", lambda targets, edges: BMatching({}))
+    with pytest.raises(MechanismError, match=r"agent 's\d+': matched \d+ but the member ships \d+"):
+        indivisible_outcome(hub15)
+
+
+def test_lottery_refuses_a_member_that_is_not_maximum(hub15, monkeypatch):
+    # a flow claiming one unit more than it carries: every member ships its
+    # own matching, but none reaches the claimed value
+    built = build_indivisible(hub15)
+    profile = egalitarian_profile(built)
+    combination = decompose_max_flow(built.network, profile.flow)
+    inflated = dataclasses.replace(profile.flow, value=profile.flow.value + 1)
+    monkeypatch.setattr(mechanism, "decompose_max_flow", lambda net, flow: combination)
+    with pytest.raises(MechanismError, match="lottery member is not a maximum b-matching"):
+        build_lottery(hub15, built, UtilityProfile(profile.values, flow=inflated))
+
+
+def test_lottery_refuses_an_expectation_that_misses_the_profile(hub15):
+    # one unit moved between two agents keeps the total; the lottery of the
+    # carried flow still gives each agent its own expectation
+    built = build_indivisible(hub15)
+    profile = egalitarian_profile(built)
+    moved = dict(profile.values)
+    moved["s1"] += 1
+    moved["s15"] -= 1
+    with pytest.raises(MechanismError, match="lottery expectation misses the profile at 's1'"):
+        build_lottery(hub15, built, UtilityProfile(moved, flow=profile.flow))
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_lottery_expectation_random(seed):
     inst = random_connected_instance(random.Random(900 + seed), max_nodes=6, max_peak=3)
@@ -484,6 +536,20 @@ def test_lottery_expectation_random(seed):
     assert expectation == outcome.profile.values
     for agent, dist in outcome.marginals.items():
         assert expected_value(dist) == outcome.profile[agent]
+
+
+@pytest.mark.parametrize("member", [(36, 20, 2.2), (24, 80, 2.2)])
+def test_lottery_expectation_over_weights_of_distinct_denominators(member):
+    # weights 1/3 and 1/6, and 1/5 down to 1/15: the members' shares of the
+    # common denominator differ
+    inst = seeded_instance(*member)
+    outcome = indivisible_outcome(inst)
+    assert len({p.denominator for _, p in outcome.lottery.entries}) > 1
+    expectation = {node: F(0) for node in inst.nodes}
+    for matching, p in outcome.lottery.entries:
+        for node, used in matching.utilities(inst).items():
+            expectation[node] += p * used
+    assert expectation == outcome.profile.values
 
 
 def test_sample_singleton_lottery_any_seed():
@@ -618,6 +684,13 @@ def test_direct_bipartite_rule_capacitated_edge():
 def test_direct_bipartite_rule_rejects_bad_partition(tri):
     with pytest.raises(Exception, match="cross|partition"):
         bipartite_egalitarian(tri, ["a", "b"], ["c"])
+
+
+@pytest.mark.parametrize("suppliers, demanders", [(["a"], ["b"]), (["a", "b"], ["b", "c"])])
+def test_bipartite_rule_rejects_sides_that_do_not_partition(suppliers, demanders):
+    inst = Instance.build("path", [("a", 1), ("b", 1), ("c", 1)], [("a", "b"), ("b", "c")])
+    with pytest.raises(InstanceError, match="suppliers and demanders must partition the nodes"):
+        bipartite_egalitarian(inst, suppliers, demanders)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 
 from fairmatch import (
+    BMatching,
     Deviation,
     Instance,
     build_divisible,
     build_indivisible,
+    build_lottery,
     cli,
     egalitarian_divisible,
     egalitarian_lp,
@@ -287,6 +289,47 @@ def test_decomposition_makes_almost_no_fraction_arithmetic_in_flows(hub15):
         combination = flows.decompose_max_flow(construction.network, flow)
     assert len(combination.entries) == 3
     assert counts["flows"] <= 12
+
+
+def test_lottery_reads_each_member_once(hub15, monkeypatch):
+    # one utilities call for the perfect part, and per member one in
+    # check_feasible and one for the ship check, the maximum check and the
+    # expectation together; reading them separately took 10 on hub15
+    construction = build_indivisible(hub15)
+    profile = egalitarian_profile(construction)
+    counts = {"utilities": 0}
+    original = BMatching.utilities
+
+    def counted(self, inst):
+        counts["utilities"] += 1
+        return original(self, inst)
+
+    monkeypatch.setattr(BMatching, "utilities", counted)
+    lottery = build_lottery(hub15, construction, profile)
+    assert len(lottery.entries) == 3
+    assert counts["utilities"] <= 7
+
+
+def test_lottery_totals_the_expectation_on_ints(hub15):
+    # the expectation is totalled as ints over the weights' common denominator
+    # and compared with the profile once per agent (15); left are the maximum
+    # check per member (3) and Lottery's weight checks (7). Totalling it in
+    # Fractions made 115 operations in mechanism on hub15
+    construction = build_indivisible(hub15)
+    profile = egalitarian_profile(construction)
+    counts = {"mechanism": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FRACTION_OPS:
+            original = getattr(Fraction, name)
+
+            def counted(*args, _original=original):
+                counts["mechanism"] += sys._getframe(1).f_code.co_filename == mechanism.__file__
+                return _original(*args)
+
+            patch.setattr(Fraction, name, counted)
+        lottery = build_lottery(hub15, construction, profile)
+    assert len(lottery.entries) == 3
+    assert counts["mechanism"] <= 25
 
 
 @pytest.fixture
