@@ -3,9 +3,11 @@
 ``fixtures.json`` holds each instance together with the outputs that are
 unique whatever maximum flow the engine finds: the Gallai-Edmonds classes, the
 divisible and indivisible profiles, every breakpoint's lambda, kind and
-bottleneck group, and the max-flow value of each construction.  Lotteries,
-exchanges and breakpoint images are left out because they depend on which
-maximum flow is found.
+bottleneck group, and the max-flow value of each construction.  It also holds
+each instance's lottery (every entry's probability and multiplicities), which
+depends on which maximum flow the engine finds: a change that moves a lottery
+re-records it and names the instance.  Exchanges and breakpoint images are
+left out.
 
 Regenerate (only when an output is meant to change) with::
 
@@ -22,6 +24,7 @@ from fairmatch import (
     Instance,
     build_divisible,
     build_indivisible,
+    build_lottery,
     egalitarian_profile,
     format_rational,
     ged_decompose,
@@ -53,7 +56,7 @@ def seeded_instance(seed: int, n: int, degree: float) -> Instance:
 
 
 def observe(inst: Instance) -> dict:
-    """The flow-independent outputs of both rules on ``inst``."""
+    """The flow-independent outputs of both rules on ``inst``, and its lottery."""
     ged = ged_decompose(inst)
     observed = {"ged": ged.to_json_dict()}
     for model, construction in (
@@ -69,6 +72,8 @@ def observe(inst: Instance) -> dict:
             ],
             "max_flow": format_rational(max_flow(construction.network).value),
         }
+        if model == "indivisible":
+            observed[model]["lottery"] = build_lottery(inst, construction, profile).to_json()
     return observed
 
 
