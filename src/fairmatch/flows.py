@@ -42,7 +42,7 @@ def _coerce_cap(arc: Arc, cap, terminal: bool) -> Fraction | None:
 _Index = namedtuple("_Index", "nodes arcs tails heads rows source sink arc_ids", defaults=[None])
 
 
-def _built(source, sink, arcs: dict, **cached) -> "FlowNetwork":
+def _built(source, sink, arcs: Mapping, **cached) -> "FlowNetwork":
     """A network from already checked arcs, with some cached properties given."""
     net = object.__new__(FlowNetwork)
     net.__dict__.update(source=source, sink=sink, arcs=arcs, **cached)
@@ -51,11 +51,14 @@ def _built(source, sink, arcs: dict, **cached) -> "FlowNetwork":
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed capacitated network with distinguished source and sink."""
+    """Directed capacitated network with distinguished source and sink. The
+    constructor checks ``arcs`` and keeps a dict of ``Fraction`` caps; a copy
+    made by :meth:`with_caps` or :meth:`with_scaled_caps` keeps
+    :class:`ScaledCaps`."""
 
     source: str
     sink: str
-    arcs: dict[Arc, Fraction | None]
+    arcs: Mapping[Arc, Fraction | None]
 
     def __post_init__(self) -> None:
         if self.source == self.sink:
@@ -103,24 +106,59 @@ class FlowNetwork:
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
         """A copy with some arc capacities replaced. Only the new caps are
-        checked; the copy shares this network's coerced caps and index, and puts
-        the new caps into its scaled caps, brought down to the least scale."""
-        if unknown := overrides.keys() - self.arcs.keys():
+        checked; they are written into this network's scaled caps, on the
+        scale their denominators need (see :meth:`with_scaled_caps`)."""
+        arc_ids = self.index.arc_ids
+        if unknown := overrides.keys() - arc_ids.keys():
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
-        arcs, new, arc_ids = dict(self.arcs), {}, self.index.arc_ids
+        new = {}
         for (u, v), cap in overrides.items():
-            arcs[(u, v)] = new[arc_ids[(u, v)]] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+            new[arc_ids[(u, v)]] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
         old, caps = self.scaled_caps
         scale = lcm(old, *{cap.denominator for cap in new.values() if cap is not None})
         factor = scale // old
         caps = [None if c is None else c * factor for c in caps]
         for a, cap in new.items():
             caps[a] = None if cap is None else cap.numerator * (scale // cap.denominator)
-        common = gcd(scale, *filter(None, caps))  # replaced caps may leave a smaller scale
+        return self.with_scaled_caps(scale, caps)
+
+    def with_scaled_caps(self, scale: int, caps: list[int | None]) -> "FlowNetwork":
+        """A copy whose caps are ``caps``, by arc id and ending with the extra 0,
+        over ``scale``; unchecked, so terminal arcs must be finite and no cap
+        negative. The copy shares this network's index and keeps the ints,
+        divided by their gcd with ``scale``: its scale is the least common
+        denominator of its own caps, and a replaced cap leaves none behind.
+        Its ``arcs`` are :class:`ScaledCaps` over them."""
+        common = gcd(scale, *filter(None, caps)) if scale > 1 else 1
         if common > 1:
             scale, caps = scale // common, [None if c is None else c // common for c in caps]
-        shared = {"neighbors": self.neighbors, "index": self.index}
-        return _built(self.source, self.sink, arcs, scaled_caps=(scale, caps), **shared)
+        index = self.index
+        shared = {"neighbors": self.neighbors, "index": index, "scaled_caps": (scale, caps)}
+        return _built(self.source, self.sink, ScaledCaps(index, scale, caps), **shared)
+
+
+class ScaledCaps(Mapping):
+    """A network's caps as ints over one common ``scale`` by arc id, read-only:
+    a cap becomes a ``Fraction`` only when it is read; unbounded reads None."""
+
+    def __init__(self, index: _Index, scale: int, caps: list[int | None]) -> None:
+        self.index, self.scale, self.caps = index, scale, caps
+
+    def __getitem__(self, arc: Arc) -> Fraction | None:
+        cap = self.caps[self.index.arc_ids[arc]]
+        return None if cap is None else Fraction(cap, self.scale)
+
+    def __contains__(self, arc) -> bool:
+        return arc in self.index.arc_ids
+
+    def __iter__(self) -> Iterator[Arc]:
+        return iter(self.index.arcs)
+
+    def __len__(self) -> int:
+        return len(self.index.arcs)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class ScaledValues(Mapping):

@@ -214,9 +214,10 @@ def _sup_full_shipping(
     return current, flow, capped
 
 
-def _lowered_cap(caps: list[Fraction], deficit: Fraction) -> Fraction:
+def _lowered_cap(caps: list[int], deficit: int, scale: int) -> Fraction:
     """The common cap lam' at which ``sum(max(0, cap - lam') for cap in caps)``
-    equals ``deficit``: a sorted sweep down the caps of a cut side's agents."""
+    equals ``deficit``, both times ``scale``: a sorted sweep down the caps of a
+    cut side's agents."""
     if not caps:
         raise MechanismError("bottleneck search lost its slope")
     caps = sorted(caps, reverse=True)
@@ -224,25 +225,28 @@ def _lowered_cap(caps: list[Fraction], deficit: Fraction) -> Fraction:
     while count < len(caps) and total - deficit < count * caps[count]:
         total += caps[count]
         count += 1
-    return (total - deficit) / count
+    return Fraction(total - deficit, count * scale)
 
 
 def _bottleneck_identity(capped: FlowNetwork, cut_side: frozenset[str]) -> None:
     """Assert the breakpoint identity: the bottleneck group's joint supply equals
     the capacity it is shipping into (its demand image plus crossing edge caps)."""
-    supply_in = Fraction(0)
-    shipped_into = Fraction(0)
-    for (tail, head), cap in capped.arcs.items():
-        if tail == capped.source:
-            if head in cut_side:
+    idx = capped.index
+    scale, caps = capped.scaled_caps
+    inside = [node in cut_side for node in idx.nodes]
+    supply_in = shipped_into = 0
+    for arc, cap, tail, head in zip(idx.arcs, caps, idx.tails, idx.heads):
+        if tail == idx.source:
+            if inside[head]:
                 supply_in += cap
-        elif tail in cut_side and head not in cut_side:
+        elif inside[tail] and not inside[head]:
             if cap is None:
-                raise MechanismError(f"unbounded arc {(tail, head)!r} crosses the bottleneck cut")
+                raise MechanismError(f"unbounded arc {arc!r} crosses the bottleneck cut")
             shipped_into += cap
     if supply_in != shipped_into:
         raise MechanismError(
-            f"bottleneck identity violated: supply {supply_in} != demand image {shipped_into}"
+            f"bottleneck identity violated: supply {Fraction(supply_in, scale)}"
+            f" != demand image {Fraction(shipped_into, scale)}"
         )
 
 
@@ -271,6 +275,11 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     whose supply arcs carry at most the old caps: within a search the caps only
     fall (``max_flow`` cancels the excess), across breakpoints they only rise.
 
+    Each probe runs on ints: the caps by arc id on the probe's least scale (the
+    previous probe's caps, frozen agents' included, with the active supply arcs
+    rewritten), the deficit and the cut side's caps times that scale. The only
+    ``Fraction`` a probe makes is the lowered ``lam``.
+
     The profile carries the breakpoints (type-2 bottleneck freezes in order, then
     the terminal type-1 peaks event when some agents never bottleneck) and the
     last probe's flow: a maximum flow of the network with every supply arc
@@ -279,33 +288,43 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     net = construction.network
     supply_arcs = construction.supply_arcs
     peaks = construction.peaks
+    slots = {agent: net.index.arc_ids[arc] for agent, arc in supply_arcs.items()}
     frozen: dict[str, Fraction] = {}
     trace: list[Breakpoint] = []
     active = sorted(supply_arcs)
     previous_break = Fraction(0)
     capped, flow = net, None
+    scale, caps = net.scaled_caps
     while active:
-        lam = top = Fraction(max(peaks[agent] for agent in active))
+        top = max(peaks[agent] for agent in active)
+        lam = Fraction(top)
         # At or below the previous breakpoint every active agent sits at its
         # peak, and the last probe shipped exactly these caps already.
         while top > previous_break:
             # frozen agents keep the caps of the probe before, which froze them
-            caps = {supply_arcs[agent]: min(lam, Fraction(peaks[agent])) for agent in active}
-            capped = capped.with_caps(caps)
+            probe = lcm(scale, lam.denominator)
+            caps = [None if c is None else c * (probe // scale) for c in caps] if probe != scale else caps[:]
+            level = lam.numerator * (probe // lam.denominator)
+            for agent in active:
+                caps[slots[agent]] = min(level, peaks[agent] * probe)
+            capped = net.with_scaled_caps(probe, caps)
             flow = max_flow(capped, start=flow)
-            deficit = sum(caps.values(), sum(frozen.values(), Fraction(0))) - flow.value
+            scale, caps = capped.scaled_caps
+            # the flow's value is its cut's capacity, a sum of caps on this scale
+            value = flow.value
+            deficit = sum(caps[slot] for slot in slots.values()) - value.numerator * (scale // value.denominator)
             if not deficit:
                 break
             # On the minimum cut max_flow certified, the deficit is the cut side's excess.
             cut_side = flow.cut
-            cut_caps = [caps[supply_arcs[a]] for a in active if supply_arcs[a][1] in cut_side]
-            lowered = _lowered_cap(cut_caps, deficit)
+            cut_caps = [caps[slots[a]] for a in active if supply_arcs[a][1] in cut_side]
+            lowered = _lowered_cap(cut_caps, deficit, scale)
             if not previous_break <= lowered < lam:
                 raise MechanismError("bottleneck search left its segment")
             lam = lowered
         if lam == top:
             trace.append(
-                Breakpoint(lam=top, kind="type-1", bottleneck=frozenset(active), image=frozenset())
+                Breakpoint(lam=lam, kind="type-1", bottleneck=frozenset(active), image=frozenset())
             )
             for agent in active:
                 frozen[agent] = Fraction(peaks[agent])
@@ -321,15 +340,17 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             head for (tail, head), x in flow.values.ints.items() if tail in fresh_nodes and x > 0
         )
         trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
-        for agent in newly:
-            frozen[agent] = min(lam, Fraction(peaks[agent]))
+        for agent in newly:  # min(lam, peak)
+            peak = peaks[agent]
+            frozen[agent] = lam if lam.numerator <= peak * lam.denominator else Fraction(peak)
         active = [agent for agent in active if agent not in newly]
 
     if flow is None:  # no agents, so no probe: the zero flow ships the empty profile
         flow = Flow(values=dict.fromkeys(net.arcs, Fraction(0)), value=Fraction(0))
     # ``capped`` and ``flow`` are the last probe's, and it solved the frozen caps.
-    if flow.value != sum(frozen.values(), Fraction(0)) or any(
-        capped.arcs[arc] != frozen[agent] for agent, arc in supply_arcs.items()
+    value = flow.value
+    if value.numerator * scale != sum(caps[slot] for slot in slots.values()) * value.denominator or any(
+        frozen[agent].numerator * scale != caps[slot] * frozen[agent].denominator for agent, slot in slots.items()
     ):
         raise MechanismError("frozen egalitarian profile is not fully shippable")
     return UtilityProfile(frozen, flow=flow, breakpoints=tuple(trace))

@@ -43,16 +43,18 @@ MEMBERS = (
 )
 
 
-def seeded_instance(seed: int, n: int, degree: float) -> Instance:
-    """Random spanning tree plus uniform extra edges, peaks 1-3."""
+def seeded_instance(seed: int, n: int, degree: float, max_peak: int = 3, max_cap: int = 0) -> Instance:
+    """Random spanning tree plus uniform extra edges, peaks 1 to ``max_peak``,
+    and with ``max_cap`` every edge capped at 1 to ``max_cap``."""
     rng = random.Random(f"golden/{seed}")
     nodes = [f"v{i}" for i in range(n)]
     edges = {tuple(sorted((nodes[i], nodes[rng.randrange(i)]))) for i in range(1, n)}
     while len(edges) < round(degree * n / 2):
         edges.add(tuple(sorted(rng.sample(nodes, 2))))
-    return Instance.build(
-        f"golden-{seed}", [(node, rng.randint(1, 3)) for node in nodes], sorted(edges)
-    )
+    peaks = [(node, rng.randint(1, max_peak)) for node in nodes]
+    if max_cap:
+        edges = [(u, v, rng.randint(1, max_cap)) for u, v in sorted(edges)]
+    return Instance.build(f"golden-{seed}", peaks, sorted(edges))
 
 
 def observe(inst: Instance) -> dict:

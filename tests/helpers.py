@@ -38,8 +38,6 @@ from fairmatch.mechanism import (
     SOURCE,
     BipartiteConstruction,
     Breakpoint,
-    _bottleneck_identity,
-    _lowered_cap,
 )
 
 
@@ -491,9 +489,40 @@ def direct_bipartite_rule(
     return values
 
 
+def _reference_lowered_cap(caps: list[Fraction], deficit: Fraction) -> Fraction:
+    """The common cap lam' at which ``sum(max(0, cap - lam') for cap in caps)``
+    equals ``deficit``, in ``Fraction``s: a sorted sweep down the caps."""
+    if not caps:
+        raise MechanismError("bottleneck search lost its slope")
+    caps = sorted(caps, reverse=True)
+    total, count = caps[0], 1
+    while count < len(caps) and total - deficit < count * caps[count]:
+        total += caps[count]
+        count += 1
+    return (total - deficit) / count
+
+
+def _reference_bottleneck_identity(capped: FlowNetwork, cut_side: frozenset[str]) -> None:
+    """The breakpoint identity on the network's ``Fraction`` caps: the group's
+    joint supply equals the capacity of the arcs leaving its cut side."""
+    supply_in = Fraction(0)
+    shipped_into = Fraction(0)
+    for (tail, head), cap in capped.arcs.items():
+        if tail == capped.source:
+            if head in cut_side:
+                supply_in += cap
+        elif tail in cut_side and head not in cut_side:
+            if cap is None:
+                raise MechanismError(f"unbounded arc {(tail, head)!r} crosses the bottleneck cut")
+            shipped_into += cap
+    if supply_in != shipped_into:
+        raise MechanismError(f"bottleneck identity violated: supply {supply_in} != demand image {shipped_into}")
+
+
 def reference_egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
-    """The water-fill with every probe solved from zero flow: the engine's
-    warm-started fill must find the same profile and breakpoints."""
+    """The water-fill with every probe solved from zero flow, on ``Fraction``
+    caps and deficits: the engine's warm-started integer fill must find the
+    same profile and breakpoints."""
     net = construction.network
     supply_arcs = construction.supply_arcs
     peaks = construction.peaks
@@ -514,7 +543,7 @@ def reference_egalitarian_profile(construction: BipartiteConstruction) -> Utilit
                 break
             cut_side = min_cut(capped, flow)
             cut_caps = [caps[supply_arcs[a]] for a in active if supply_arcs[a][1] in cut_side]
-            lowered = _lowered_cap(cut_caps, deficit)
+            lowered = _reference_lowered_cap(cut_caps, deficit)
             if not previous_break <= lowered < lam:
                 raise MechanismError("bottleneck search left its segment")
             lam = lowered
@@ -527,7 +556,7 @@ def reference_egalitarian_profile(construction: BipartiteConstruction) -> Utilit
             break
         previous_break = lam
         bottleneck_side = maximal_min_cut(capped, flow)
-        _bottleneck_identity(capped, bottleneck_side)
+        _reference_bottleneck_identity(capped, bottleneck_side)
         newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
         if not newly:
             raise MechanismError("breakpoint without a bottlenecked agent")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fairmatch import (
     FlowError,
     FlowNetwork,
+    Instance,
     build_divisible,
     build_indivisible,
     decompose_max_flow,
@@ -83,6 +84,22 @@ def test_with_caps_rejects_a_missing_arc():
     net = simple_net({("s", "a"): 2, ("a", "t"): 3})
     with pytest.raises(FlowError, match=r"cannot override missing arcs \[\('a', 's'\)\]"):
         net.with_caps({("a", "s"): 1})
+
+
+def test_copy_reads_its_int_caps_as_fractions():
+    net = simple_net({("s", "a"): 2, ("a", "b"): None, ("b", "t"): 3, ("s", "t"): 1})
+    # caps by arc id over scale 6, with the extra 0 at the end
+    copy = net.with_scaled_caps(6, [4, None, 9, 6, 0])
+    assert copy.index is net.index and copy.scaled_caps == (6, [4, None, 9, 6, 0])
+    fractions = {("s", "a"): Fraction(2, 3), ("a", "b"): None, ("b", "t"): Fraction(3, 2), ("s", "t"): Fraction(1)}
+    assert copy.arcs == fractions and list(copy.arcs) == list(net.arcs)
+    assert copy == FlowNetwork("s", "t", fractions) and repr(copy.arcs) == repr(fractions)
+    assert ("b", "t") in copy.arcs and ("t", "b") not in copy.arcs
+    with pytest.raises(KeyError):
+        copy.arcs[("t", "b")]
+    assert max_flow(copy).value == Fraction(5, 3) == reference_max_flow(copy).value
+    # caps on a larger scale than they need come down to the least one
+    assert net.with_scaled_caps(4, [2, None, 6, 4, 0]).scaled_caps == (2, [1, None, 3, 2, 0])
 
 
 def test_diamond_doubled_network_value():
@@ -566,16 +583,34 @@ def test_scaled_decomposition_matches_reference_on_golden_lotteries(member):
     _same_decomposition_as_reference(construction.network, egalitarian_profile(construction).flow)
 
 
-@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
-@pytest.mark.parametrize("seed, n", [(1, 40), (2, 48), (3, 64), (4, 80)])
-def test_warm_fill_matches_cold_fill_at_scale(build, seed, n):
-    # every probe after the first starts from the probe before it; the fill
-    # that solves each probe from zero must give the same profile and events
-    construction = build(seeded_instance(seed, n, 3))
+@pytest.mark.parametrize(
+    "build, seed, n, family",
+    [
+        pytest.param(build, seed, n, {}, id=f"{seed}-{n}-{build.__name__}")
+        for seed, n in [(1, 40), (2, 48), (3, 64), (4, 80)]
+        for build in (build_indivisible, build_divisible)
+    ]
+    # capacitated instances, where edge caps bind (the indivisible rule refuses caps)
+    + [pytest.param(build_divisible, seed, 60, {"max_cap": 3}, id=f"caps-{seed}-60") for seed in range(1, 7)]
+    + [
+        pytest.param(build, seed, 80, {"max_peak": 60}, id=f"peaks60-{seed}-80-{build.__name__}")
+        for seed in (1, 2, 3)
+        for build in (build_indivisible, build_divisible)
+    ],
+)
+def test_warm_fill_matches_cold_fill_at_scale(build, seed, n, family):
+    # every probe after the first starts from the probe before it and runs on
+    # integer caps; the fill that solves each probe from zero on Fraction caps
+    # and deficits must give the same profile and events
+    inst = seeded_instance(seed, n, 3, **family)
+    construction = build(inst)
     warm = egalitarian_profile(construction)
     cold = reference_egalitarian_profile(construction)
     assert warm == cold
     assert warm.breakpoints == cold.breakpoints
+    if inst.capacities:
+        uncapped = Instance.build(inst.name, list(inst.peaks.items()), list(inst.edges))
+        assert egalitarian_profile(build(uncapped)) != warm
 
 
 def _fill_chain(construction) -> list[tuple[FlowNetwork, Flow | None]]:

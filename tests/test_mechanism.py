@@ -26,11 +26,13 @@ from fairmatch import (
     probabilistic_marginals,
     sample_lottery,
 )
-from fairmatch.flows import ConvexCombination, Flow, ScaledValues, is_maximum
+from fairmatch.flows import ConvexCombination, Flow, FlowNetwork, ScaledValues, is_maximum
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
 from golden.record import seeded_instance
 from helpers import (
+    _reference_bottleneck_identity,
+    _reference_lowered_cap,
     direct_bipartite_rule,
     expected_value,
     diamond_instance,
@@ -343,6 +345,36 @@ def test_type2_breakpoints_satisfy_bottleneck_identity(seed):
             (built.network.arcs[(node, "@sink")] for node in bp.image), F(0)
         )
         assert supplied == image_demand
+
+
+def _verdict(check, *args) -> str | None:
+    try:
+        check(*args)
+    except MechanismError as exc:
+        return str(exc)
+    return None
+
+
+def test_fill_helpers_on_ints_give_the_fraction_results():
+    # the lowered cap and the breakpoint identity, on caps times a scale,
+    # against their Fraction references: the same cap, the same verdicts
+    rng = random.Random("int-fill")
+    for _ in range(300):
+        scale = rng.randint(1, 12)
+        caps = [rng.randint(1, 40) for _ in range(rng.randint(1, 6))]
+        deficit = rng.randint(1, sum(caps))
+        assert mechanism._lowered_cap(caps, deficit, scale) == _reference_lowered_cap(
+            [F(c, scale) for c in caps], F(deficit, scale)
+        )
+    net = FlowNetwork("s", "t", {("s", "a"): 2, ("s", "b"): 1, ("a", "t"): 2, ("a", "b"): None, ("b", "t"): 3})
+    verdicts = set()
+    for caps in ([4, 2, 4, None, 6, 0], [3, 1, 3, None, 7, 0], [5, 5, 1, None, 2, 0]):
+        capped = net.with_scaled_caps(6, caps)
+        for side in ({"s"}, {"s", "a"}, {"s", "b"}, {"s", "a", "b"}):
+            verdict = _verdict(mechanism._bottleneck_identity, capped, frozenset(side))
+            assert verdict == _verdict(_reference_bottleneck_identity, capped, frozenset(side))
+            verdicts.add(verdict if verdict is None else verdict.split(":")[0])
+    assert verdicts == {None, "bottleneck identity violated", "unbounded arc ('a', 'b') crosses the bottleneck cut"}
 
 
 def test_probabilistic_marginals_cases():
