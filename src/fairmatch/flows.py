@@ -51,10 +51,7 @@ def _built(source, sink, arcs: Mapping, **cached) -> "FlowNetwork":
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed capacitated network with distinguished source and sink. The
-    constructor checks ``arcs`` and keeps a dict of ``Fraction`` caps; a copy
-    made by :meth:`with_caps` or :meth:`with_scaled_caps` keeps
-    :class:`ScaledCaps`."""
+    """Directed capacitated network with distinguished source and sink."""
 
     source: str
     sink: str
@@ -106,14 +103,12 @@ class FlowNetwork:
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
         """A copy with some arc capacities replaced. Only the new caps are
-        checked; they are written into this network's scaled caps, on the
-        scale their denominators need (see :meth:`with_scaled_caps`)."""
-        arc_ids = self.index.arc_ids
-        if unknown := overrides.keys() - arc_ids.keys():
+        checked; they are written into this network's scaled caps."""
+        if unknown := overrides.keys() - self.index.arc_ids.keys():
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
         new = {}
         for (u, v), cap in overrides.items():
-            new[arc_ids[(u, v)]] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+            new[self.index.arc_ids[(u, v)]] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
         old, caps = self.scaled_caps
         scale = lcm(old, *{cap.denominator for cap in new.values() if cap is not None})
         factor = scale // old
@@ -123,18 +118,14 @@ class FlowNetwork:
         return self.with_scaled_caps(scale, caps)
 
     def with_scaled_caps(self, scale: int, caps: list[int | None]) -> "FlowNetwork":
-        """A copy whose caps are ``caps``, by arc id and ending with the extra 0,
-        over ``scale``; unchecked, so terminal arcs must be finite and no cap
-        negative. The copy shares this network's index and keeps the ints,
-        divided by their gcd with ``scale``: its scale is the least common
-        denominator of its own caps, and a replaced cap leaves none behind.
-        Its ``arcs`` are :class:`ScaledCaps` over them."""
+        """A copy sharing this network's index, with unchecked ``caps`` over
+        ``scale`` (by arc id, ending with the extra 0), divided by their gcd
+        with it: a copy solves on the least common denominator of its caps."""
         common = gcd(scale, *filter(None, caps)) if scale > 1 else 1
         if common > 1:
             scale, caps = scale // common, [None if c is None else c // common for c in caps]
-        index = self.index
-        shared = {"neighbors": self.neighbors, "index": index, "scaled_caps": (scale, caps)}
-        return _built(self.source, self.sink, ScaledCaps(index, scale, caps), **shared)
+        shared = {"neighbors": self.neighbors, "index": self.index, "scaled_caps": (scale, caps)}
+        return _built(self.source, self.sink, ScaledCaps(self.index, scale, caps), **shared)
 
 
 class ScaledCaps(Mapping):
@@ -147,9 +138,6 @@ class ScaledCaps(Mapping):
     def __getitem__(self, arc: Arc) -> Fraction | None:
         cap = self.caps[self.index.arc_ids[arc]]
         return None if cap is None else Fraction(cap, self.scale)
-
-    def __contains__(self, arc) -> bool:
-        return arc in self.index.arc_ids
 
     def __iter__(self) -> Iterator[Arc]:
         return iter(self.index.arcs)

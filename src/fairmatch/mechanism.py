@@ -244,10 +244,8 @@ def _bottleneck_identity(capped: FlowNetwork, cut_side: frozenset[str]) -> None:
                 raise MechanismError(f"unbounded arc {arc!r} crosses the bottleneck cut")
             shipped_into += cap
     if supply_in != shipped_into:
-        raise MechanismError(
-            f"bottleneck identity violated: supply {Fraction(supply_in, scale)}"
-            f" != demand image {Fraction(shipped_into, scale)}"
-        )
+        supply_in, shipped_into = Fraction(supply_in, scale), Fraction(shipped_into, scale)
+        raise MechanismError(f"bottleneck identity violated: supply {supply_in} != demand image {shipped_into}")
 
 
 @dataclass(frozen=True)
@@ -275,10 +273,8 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     whose supply arcs carry at most the old caps: within a search the caps only
     fall (``max_flow`` cancels the excess), across breakpoints they only rise.
 
-    Each probe runs on ints: the caps by arc id on the probe's least scale (the
-    previous probe's caps, frozen agents' included, with the active supply arcs
-    rewritten), the deficit and the cut side's caps times that scale. The only
-    ``Fraction`` a probe makes is the lowered ``lam``.
+    A probe runs on ints: the previous probe's caps with the active supply arcs
+    rewritten, on the probe's least scale. Its only ``Fraction`` is a lowered ``lam``.
 
     The profile carries the breakpoints (type-2 bottleneck freezes in order, then
     the terminal type-1 peaks event when some agents never bottleneck) and the
@@ -296,8 +292,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     capped, flow = net, None
     scale, caps = net.scaled_caps
     while active:
-        top = max(peaks[agent] for agent in active)
-        lam = Fraction(top)
+        lam = top = Fraction(max(peaks[agent] for agent in active))
         # At or below the previous breakpoint every active agent sits at its
         # peak, and the last probe shipped exactly these caps already.
         while top > previous_break:
@@ -311,8 +306,8 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             flow = max_flow(capped, start=flow)
             scale, caps = capped.scaled_caps
             # the flow's value is its cut's capacity, a sum of caps on this scale
-            value = flow.value
-            deficit = sum(caps[slot] for slot in slots.values()) - value.numerator * (scale // value.denominator)
+            shipped = flow.value.numerator * (scale // flow.value.denominator)
+            deficit = sum(caps[slot] for slot in slots.values()) - shipped
             if not deficit:
                 break
             # On the minimum cut max_flow certified, the deficit is the cut side's excess.
@@ -324,7 +319,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             lam = lowered
         if lam == top:
             trace.append(
-                Breakpoint(lam=lam, kind="type-1", bottleneck=frozenset(active), image=frozenset())
+                Breakpoint(lam=top, kind="type-1", bottleneck=frozenset(active), image=frozenset())
             )
             for agent in active:
                 frozen[agent] = Fraction(peaks[agent])
@@ -341,15 +336,13 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
         )
         trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
         for agent in newly:  # min(lam, peak)
-            peak = peaks[agent]
-            frozen[agent] = lam if lam.numerator <= peak * lam.denominator else Fraction(peak)
+            frozen[agent] = lam if lam.numerator <= peaks[agent] * lam.denominator else Fraction(peaks[agent])
         active = [agent for agent in active if agent not in newly]
 
     if flow is None:  # no agents, so no probe: the zero flow ships the empty profile
         flow = Flow(values=dict.fromkeys(net.arcs, Fraction(0)), value=Fraction(0))
     # ``capped`` and ``flow`` are the last probe's, and it solved the frozen caps.
-    value = flow.value
-    if value.numerator * scale != sum(caps[slot] for slot in slots.values()) * value.denominator or any(
+    if flow.value.numerator * scale != sum(caps[slot] for slot in slots.values()) * flow.value.denominator or any(
         frozen[agent].numerator * scale != caps[slot] * frozen[agent].denominator for agent, slot in slots.items()
     ):
         raise MechanismError("frozen egalitarian profile is not fully shippable")
