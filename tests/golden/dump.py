@@ -4,7 +4,9 @@ and to name the parts that differ when it does not.
 
 The instances are the benchmark's 50 (the ``perfbench/families.py`` members
 of ``mid-random``, ``big-peaks`` and ``cli-small``, on their canonical labels)
-plus the test suite's hub15. The parts, one output line each:
+plus the test suite's hub15, and the capacitated golden members of
+``tests/golden/record.py`` with their divisible parts alone (the indivisible
+rule refuses capacities). The parts, one output line each:
 
 - ``ged``: the GED classes and components;
 - ``ged.matching``: the maximum b-matching they came from;
@@ -53,6 +55,10 @@ def _profile(profile) -> dict:
     }
 
 
+def _exchange(exchange) -> list:
+    return [[u, v, _rational(x)] for (u, v), x in exchange.items()]
+
+
 def library_outputs(fairmatch, inst) -> dict:
     outcome = fairmatch.indivisible_outcome(inst)
     profile, exchange = fairmatch.egalitarian_divisible(inst)
@@ -62,8 +68,13 @@ def library_outputs(fairmatch, inst) -> dict:
         "profiles": {"indivisible": _profile(outcome.profile), "divisible": _profile(profile)},
         "lottery": outcome.lottery.to_json(),
         "members": [[_flow(member), _rational(w)] for member, w in outcome.lottery.combination.entries],
-        "exchange": [[u, v, _rational(x)] for (u, v), x in exchange.items()],
+        "exchange": _exchange(exchange),
     }
+
+
+def divisible_outputs(fairmatch, inst) -> dict:
+    profile, exchange = fairmatch.egalitarian_divisible(inst)
+    return {"profiles": {"divisible": _profile(profile)}, "exchange": _exchange(exchange)}
 
 
 def cli_outputs(fairmatch, inst, workdir: Path) -> list:
@@ -98,6 +109,7 @@ def main(root: Path) -> None:
     import fairmatch
     import fairmatch.cli
     import families
+    from golden.record import CAPACITATED, seeded_instance
     from helpers import hub15_instance
 
     cases = [
@@ -112,6 +124,9 @@ def main(root: Path) -> None:
             if workload == "cli-small":
                 parts["cli"] = cli_outputs(fairmatch, inst, Path(tmp))
             _print_parts(f"{workload}/{base.name}", parts)
+        for member in CAPACITATED:
+            inst = seeded_instance(*member)
+            _print_parts(f"tests/{inst.name}", divisible_outputs(fairmatch, inst))
         _print_parts("tests/hub15", library_outputs(fairmatch, hub15_instance()))
 
 

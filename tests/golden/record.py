@@ -7,7 +7,8 @@ bottleneck group, and the max-flow value of each construction.  It also holds
 each instance's lottery (every entry's probability and multiplicities), which
 depends on which maximum flow the engine finds: a change that moves a lottery
 re-records it and names the instance.  Exchanges and breakpoint images are
-left out.
+left out.  The capacitated members hold the divisible outputs alone, since the
+indivisible rule refuses capacities.
 
 Regenerate (only when an output is meant to change) with::
 
@@ -41,6 +42,8 @@ MEMBERS = (
     (36, 20, 2.2), (15, 24, 2.3), (4, 24, 2.3), (69, 28, 2.2), (48, 32, 2.2),
     (24, 80, 2.2), (75, 160, 2.2),
 )
+# (seed, nodes, average degree, max peak, max cap): every edge capped at 1 to 3.
+CAPACITATED = ((1, 60, 3, 3, 3), (2, 60, 3, 3, 3), (3, 60, 3, 3, 3))
 
 
 def seeded_instance(seed: int, n: int, degree: float, max_peak: int = 3, max_cap: int = 0) -> Instance:
@@ -58,13 +61,15 @@ def seeded_instance(seed: int, n: int, degree: float, max_peak: int = 3, max_cap
 
 
 def observe(inst: Instance) -> dict:
-    """The flow-independent outputs of both rules on ``inst``, and its lottery."""
-    ged = ged_decompose(inst)
-    observed = {"ged": ged.to_json_dict()}
-    for model, construction in (
-        ("indivisible", build_indivisible(inst, ged)),
-        ("divisible", build_divisible(inst)),
-    ):
+    """The flow-independent outputs of both rules on ``inst``, and its lottery;
+    of the divisible rule alone on a capacitated ``inst``."""
+    if inst.is_uncapacitated:
+        ged = ged_decompose(inst)
+        observed = {"ged": ged.to_json_dict()}
+        constructions = (("indivisible", build_indivisible(inst, ged)), ("divisible", build_divisible(inst)))
+    else:
+        observed, constructions = {}, (("divisible", build_divisible(inst)),)
+    for model, construction in constructions:
         profile = egalitarian_profile(construction)
         observed[model] = {
             "profile": profile.to_json_dict(),
@@ -81,7 +86,7 @@ def observe(inst: Instance) -> dict:
 
 def main() -> None:
     fixtures = []
-    for member in MEMBERS:
+    for member in (*MEMBERS, *CAPACITATED):
         inst = seeded_instance(*member)
         fixtures.append({"instance": inst.to_json_dict(), "expected": observe(inst)})
     FIXTURES.write_text(json.dumps(fixtures, indent=1, sort_keys=True) + "\n")
