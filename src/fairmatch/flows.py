@@ -21,17 +21,16 @@ class FlowError(ValueError):
     """Invalid network, flow, or decomposition arguments."""
 
 
-def _coerce_cap(arc: Arc, cap, terminal: bool) -> Fraction | None:
+def _check_cap(arc: Arc, cap, terminal: bool) -> None:
+    """Raise :class:`FlowError` unless ``cap`` is None (unbounded, off the
+    terminal arcs) or a nonnegative int or Fraction."""
     if cap is UNBOUNDED:
         if terminal:
             raise FlowError(f"unbounded capacity on terminal-incident arc {arc!r}")
-        return None
-    if not _exact(cap):
+    elif not _exact(cap):
         raise FlowError(f"arc {arc!r}: capacity {cap!r} is not an int or a Fraction")
-    value = cap if isinstance(cap, Fraction) else Fraction(cap)
-    if value.numerator < 0:
+    elif cap.numerator < 0:
         raise FlowError(f"arc {arc!r}: negative capacity {cap!r}")
-    return value
 
 
 #: A network's ids: ``nodes`` and ``arcs`` by id (and ``arc_ids``), the tail,
@@ -51,7 +50,8 @@ def _built(source, sink, arcs: Mapping, **cached) -> "FlowNetwork":
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Directed capacitated network with distinguished source and sink."""
+    """Directed capacitated network with distinguished source and sink. Given
+    any mapping of int, Fraction or None caps, it keeps them as :class:`Scaled`."""
 
     source: str
     sink: str
@@ -60,7 +60,7 @@ class FlowNetwork:
     def __post_init__(self) -> None:
         if self.source == self.sink:
             raise FlowError("source and sink must differ")
-        coerced: dict[Arc, Fraction | None] = {}
+        caps = []
         for arc, cap in self.arcs.items():
             u, v = arc
             if u == v:
@@ -69,8 +69,11 @@ class FlowNetwork:
                 raise FlowError(f"arc into the source: {arc!r}")
             if u == self.sink:
                 raise FlowError(f"arc out of the sink: {arc!r}")
-            coerced[arc] = _coerce_cap(arc, cap, u == self.source or v == self.sink)
-        object.__setattr__(self, "arcs", coerced)
+            _check_cap(arc, cap, u == self.source or v == self.sink)
+            caps.append(cap)
+        scale = lcm(*{cap.denominator for cap in caps if cap is not None})
+        ints = [None if c is None else c.numerator * (scale // c.denominator) for c in caps]
+        object.__setattr__(self, "arcs", Scaled(self.index, scale, ints + [0]))  # index: from the arcs given
 
     @cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
@@ -93,28 +96,25 @@ class FlowNetwork:
         tails, heads = [ids[u] for u, _ in self.arcs], [ids[v] for _, v in self.arcs]
         return _Index(list(ids), list(self.arcs), tails, heads, rows, 0, 1, arc_ids)
 
-    @cached_property
+    @property
     def scaled_caps(self) -> tuple[int, list[int | None]]:
         """``scale``, the least common denominator of the finite caps, and the
         caps times it by arc id (unbounded stays None), ending with the extra 0."""
-        scale = lcm(*{cap.denominator for cap in self.arcs.values() if cap is not None})
-        caps = [None if c is None else c.numerator * (scale // c.denominator) for c in self.arcs.values()]
-        return scale, caps + [0]
+        return self.arcs.scale, self.arcs.ints
 
     def with_caps(self, overrides: Mapping[Arc, Fraction | int | None]) -> "FlowNetwork":
         """A copy with some arc capacities replaced. Only the new caps are
         checked; they are written into this network's scaled caps."""
-        if unknown := overrides.keys() - self.index.arc_ids.keys():
+        arc_ids = self.index.arc_ids
+        if unknown := overrides.keys() - arc_ids.keys():
             raise FlowError(f"cannot override missing arcs {sorted(unknown)!r}")
-        new = {}
         for (u, v), cap in overrides.items():
-            new[self.index.arc_ids[(u, v)]] = _coerce_cap((u, v), cap, u == self.source or v == self.sink)
+            _check_cap((u, v), cap, u == self.source or v == self.sink)
         old, caps = self.scaled_caps
-        scale = lcm(old, *{cap.denominator for cap in new.values() if cap is not None})
-        factor = scale // old
-        caps = [None if c is None else c * factor for c in caps]
-        for a, cap in new.items():
-            caps[a] = None if cap is None else cap.numerator * (scale // cap.denominator)
+        scale = lcm(old, *{cap.denominator for cap in overrides.values() if cap is not None})
+        caps = [None if c is None else c * (scale // old) for c in caps]
+        for arc, cap in overrides.items():
+            caps[arc_ids[arc]] = None if cap is None else cap.numerator * (scale // cap.denominator)
         return self.with_scaled_caps(scale, caps)
 
     def with_scaled_caps(self, scale: int, caps: list[int | None]) -> "FlowNetwork":
@@ -124,20 +124,25 @@ class FlowNetwork:
         common = gcd(scale, *filter(None, caps)) if scale > 1 else 1
         if common > 1:
             scale, caps = scale // common, [None if c is None else c // common for c in caps]
-        shared = {"neighbors": self.neighbors, "index": self.index, "scaled_caps": (scale, caps)}
-        return _built(self.source, self.sink, ScaledCaps(self.index, scale, caps), **shared)
+        shared = {"neighbors": self.neighbors, "index": self.index}
+        return _built(self.source, self.sink, Scaled(self.index, scale, caps), **shared)
 
 
-class ScaledCaps(Mapping):
-    """A network's caps as ints over one common ``scale`` by arc id, read-only:
-    a cap becomes a ``Fraction`` only when it is read; unbounded reads None."""
+class Scaled(Mapping):
+    """Values on a network's arcs, read-only: ``ints`` over one common
+    ``scale``, a list by arc id on the network's index ending with the extra 0.
+    A network's caps (None: unbounded) and a solved flow's values are both this
+    view; a value becomes a ``Fraction`` only when it is read."""
 
-    def __init__(self, index: _Index, scale: int, caps: list[int | None]) -> None:
-        self.index, self.scale, self.caps = index, scale, caps
+    def __init__(self, index: _Index, scale: int, ints: list[int | None]) -> None:
+        self.index, self.scale, self.ints = index, scale, ints
 
     def __getitem__(self, arc: Arc) -> Fraction | None:
-        cap = self.caps[self.index.arc_ids[arc]]
-        return None if cap is None else Fraction(cap, self.scale)
+        x = self.ints[self.index.arc_ids[arc]]
+        return None if x is None else Fraction(x, self.scale)
+
+    def __contains__(self, arc) -> bool:
+        return arc in self.index.arc_ids
 
     def __iter__(self) -> Iterator[Arc]:
         return iter(self.index.arcs)
@@ -149,31 +154,11 @@ class ScaledCaps(Mapping):
         return repr(dict(self.items()))
 
 
-class ScaledValues(Mapping):
-    """A flow's arc values as ints over one common ``scale``, read-only: an arc
-    becomes a ``Fraction`` only when it is read."""
-
-    def __init__(self, scale: int, ints: dict[Arc, int]) -> None:
-        self.scale, self.ints = scale, ints
-
-    def __getitem__(self, arc: Arc) -> Fraction:
-        return Fraction(self.ints[arc], self.scale)
-
-    def __iter__(self) -> Iterator[Arc]:
-        return iter(self.ints)
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 @dataclass(frozen=True)
 class Flow:
     """A feasible flow: exact arc values plus the value shipped source to sink.
-    A flow returned by :func:`max_flow` keeps its ints as :class:`ScaledValues`
-    and carries ``cut``, the source side of the minimal minimum cut certifying it."""
+    A flow returned by :func:`max_flow` keeps its ints as :class:`Scaled` and
+    carries ``cut``, the source side of the minimal minimum cut certifying it."""
 
     values: Mapping[Arc, Fraction]
     value: Fraction
@@ -221,32 +206,31 @@ def _tree_path(idx: _Index, parent: list, start: int, v: int) -> list[tuple[int,
 
 def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tuple[int, list, list[int], int]:
     """``scale``, a common denominator of the finite caps and of ``flow``, and
-    the caps (unbounded stays None) and arc values by arc id and the value, all
-    times ``scale``: the ints every search and check of this module runs on."""
+    the caps (unbounded stays None), a new list of the arc values by arc id and
+    the value, all times ``scale``: the ints every search and check of this
+    module runs on. A :class:`Scaled` flow on ``net``'s arc list is read as it
+    is; any other flow is checked and written on ``net``'s arc ids first."""
     scale, caps = net.scaled_caps
     if flow is None:
         return scale, caps, [0] * len(caps), 0
     own = flow.values
-    if not isinstance(own, ScaledValues):
+    if not isinstance(own, Scaled) or own.index.arcs != net.index.arcs:
         names = ("start value", "start flow") if as_start else ("flow value", "flow")
         for arc, x in [*own.items(), (None, flow.value)]:
             if not _exact(x):
                 where = names[0] if arc is None else f"arc {arc!r}: {names[1]}"
                 raise FlowError(f"{where} {x!r} is not an int or a Fraction")
+        arc_ids, ints = net.index.arc_ids, [0] * len(caps)
         least = lcm(*{x.denominator for x in own.values()})
-        own = ScaledValues(least, {arc: x.numerator * (least // x.denominator) for arc, x in own.items()})
+        for arc, x in own.items():
+            if arc not in arc_ids:
+                raise FlowError(f"flow on missing arc {arc!r}")
+            ints[arc_ids[arc]] = x.numerator * (least // x.denominator)
+        own = Scaled(net.index, least, ints)
     common = lcm(scale, own.scale, flow.value.denominator)
     if common != scale:
         caps = [None if c is None else c * (common // scale) for c in caps]
-    ints = own.ints
-    if list(ints) != net.index.arcs:  # not a flow that max_flow returned for this arc set
-        for arc in ints:
-            if arc not in net.arcs:
-                raise FlowError(f"flow on missing arc {arc!r}")
-        ints = {arc: ints.get(arc, 0) for arc in net.index.arcs}
-    values = [*ints.values(), 0]
-    if common != own.scale:
-        values = [x * (common // own.scale) for x in values]
+    values = [x * (common // own.scale) for x in own.ints]  # new: max_flow augments it in place
     return common, caps, values, flow.value.numerator * (common // flow.value.denominator)
 
 
@@ -323,7 +307,8 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     The search runs on the network's index, on ints: caps and ``start`` times a
     common denominator, which keeps the same paths. The last search reaches the
     minimal minimum cut; the flow is certified against it (:func:`_certify`) and
-    returned with it, as :class:`ScaledValues` over the least common denominator.
+    returned with it, as the :class:`Scaled` list it was solved on, over the
+    least common denominator.
     """
     idx = net.index
     scale, caps, values, total = _scaled(net, start, as_start=True)
@@ -338,7 +323,7 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
             if common > 1:
                 values = [x // common for x in values]
             return Flow(
-                values=ScaledValues(scale // common, dict(zip(idx.arcs, values))),
+                values=Scaled(idx, scale // common, values),
                 value=Fraction(total, scale),
                 cut=frozenset(node for node, reached in zip(idx.nodes, parent) if reached is not None),
             )
@@ -436,13 +421,13 @@ def _integral_flow_in_box(net: FlowNetwork, lower: list[int], loose: Mapping[int
         caps.append(abs(excess[node]))
     arcs = list(zip(tails, heads))
     index = _Index(range(n + 2), arcs, tails, heads, rows, n, n + 1)
-    solved = max_flow(_built(n, n + 1, dict(zip(arcs, caps)), index=index, scaled_caps=(1, caps + [0])))
+    solved = max_flow(_built(n, n + 1, Scaled(index, 1, caps + [0]), index=index))
     if solved.value != sum(x for x in excess if x > 0):
         raise FlowError("no integral maximum flow inside the rounding box")
     shifted = solved.values
     if shifted.scale != 1:
         raise FlowError("box flow came out fractional")
-    return [lo + x for lo, x in zip(lower, [*shifted.ints.values()][:m])] + [0]
+    return [lo + x for lo, x in zip(lower, shifted.ints[:m])] + [0]
 
 
 def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
@@ -457,9 +442,10 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     ``left`` (its weight) times the flow's common denominator, so the remainder
     is ``rest / left``. Each member is certified against the input's minimum cut.
     """
-    for arc, cap in net.arcs.items():
-        if cap is not None and cap.denominator != 1:
-            raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
+    scale, caps = net.scaled_caps
+    if scale != 1:  # the least common denominator of the caps
+        arc = next(arc for arc, cap in zip(net.index.arcs, caps) if cap is not None and cap % scale)
+        raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
     try:
         cut = min_cut(net, flow)
     except FlowError as exc:
@@ -468,7 +454,6 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
         raise FlowError("maximum flow value is fractional despite integer capacities")
     target = int(flow.value)
     idx = net.index
-    _, caps = net.scaled_caps  # integer caps: their least common denominator is 1
     scale, _, rest, _ = _scaled(net, flow)
     side = [node in cut for node in idx.nodes]
 
@@ -483,7 +468,7 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
         else:
             integral, weight = lower, left
         _certify(net, caps, integral, target, 1, side=side)
-        member = Flow(values=ScaledValues(1, dict(zip(idx.arcs, integral))), value=Fraction(target))
+        member = Flow(values=Scaled(idx, 1, integral), value=Fraction(target))
         entries.append((member, Fraction(weight, scale)))
         rest = [x - weight * g for x, g in zip(rest, integral)]
         left -= weight

@@ -16,6 +16,7 @@ from .flows import (
     Flow,
     FlowError,
     FlowNetwork,
+    Scaled,
     decompose_max_flow,
     max_flow,
     maximal_min_cut,
@@ -71,19 +72,18 @@ class BipartiteConstruction:
 
 def build_divisible(inst: Instance) -> BipartiteConstruction:
     """Doubled bipartite network: two mirrored agent sides, cross arcs per edge."""
-    arcs: dict[Arc, Fraction | None] = {}
+    arcs: dict[Arc, int | None] = {}
     provenance: dict[Arc, tuple] = {}
     for node, peak in inst.peaks.items():
-        arcs[(SOURCE, _a(node))] = Fraction(peak)
+        arcs[(SOURCE, _a(node))] = peak
         provenance[(SOURCE, _a(node))] = ("supply", node)
-        arcs[(_b(node), SINK)] = Fraction(peak)
+        arcs[(_b(node), SINK)] = peak
         provenance[(_b(node), SINK)] = ("demand", node)
     for u, v in inst.edges:
         cap = inst.capacities.get((u, v))
-        fraction_cap = None if cap is None else Fraction(cap)
         for tail, head in ((u, v), (v, u)):
             arc = (_a(tail), _b(head))
-            arcs[arc] = fraction_cap
+            arcs[arc] = cap
             provenance[arc] = ("edge", (u, v))
     return BipartiteConstruction(
         kind="divisible",
@@ -108,18 +108,18 @@ def build_indivisible(inst: Instance, ged: GedDecomposition | None = None) -> Bi
 
     adjacency = inst.adjacency()
     edges = {edge: edge for edge in inst.edges}  # the instance's own tuples
-    arcs: dict[Arc, Fraction | None] = {}
+    arcs: dict[Arc, int | None] = {}
     provenance: dict[Arc, tuple] = {}
     for node, peak in inst.peaks.items():
-        arcs[(SOURCE, _a(node))] = Fraction(peak)
+        arcs[(SOURCE, _a(node))] = peak
         provenance[(SOURCE, _a(node))] = ("supply", node)
     for node in sorted(ged.perfect | ged.over):
         arcs[(_a(node), _mirror(node))] = None
         provenance[(_a(node), _mirror(node))] = ("mirror", node)
-        arcs[(_mirror(node), SINK)] = Fraction(inst.peaks[node])
+        arcs[(_mirror(node), SINK)] = inst.peaks[node]
         provenance[(_mirror(node), SINK)] = ("demand", ("mirror", node))
     for over_node in sorted(ged.over):
-        arcs[(_over(over_node), SINK)] = Fraction(inst.peaks[over_node])
+        arcs[(_over(over_node), SINK)] = inst.peaks[over_node]
         provenance[(_over(over_node), SINK)] = ("demand", ("over", over_node))
         for nbr in adjacency[over_node]:
             if nbr in ged.under:
@@ -129,8 +129,7 @@ def build_indivisible(inst: Instance, ged: GedDecomposition | None = None) -> Bi
     for index, component in enumerate(ged.odd_components):
         if len(component) < 2:
             continue
-        cap = ged.internal_caps[index]
-        arcs[(_component(index), SINK)] = Fraction(cap)
+        arcs[(_component(index), SINK)] = ged.internal_caps[index]
         provenance[(_component(index), SINK)] = ("demand", ("component", index))
         for node in component:
             arc = (_a(node), _component(index))
@@ -332,7 +331,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             raise MechanismError("breakpoint without a bottlenecked agent")
         fresh_nodes = {supply_arcs[agent][1] for agent in newly}
         image = frozenset(
-            head for (tail, head), x in flow.values.ints.items() if tail in fresh_nodes and x > 0
+            head for (tail, head), x in zip(net.index.arcs, flow.values.ints) if tail in fresh_nodes and x > 0
         )
         trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
         for agent in newly:  # min(lam, peak)
@@ -340,7 +339,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
         active = [agent for agent in active if agent not in newly]
 
     if flow is None:  # no agents, so no probe: the zero flow ships the empty profile
-        flow = Flow(values=dict.fromkeys(net.arcs, Fraction(0)), value=Fraction(0))
+        flow = Flow(values=Scaled(net.index, 1, [0] * len(caps)), value=Fraction(0))
     # ``capped`` and ``flow`` are the last probe's, and it solved the frozen caps.
     if flow.value.numerator * scale != sum(caps[slot] for slot in slots.values()) * flow.value.denominator or any(
         frozen[agent].numerator * scale != caps[slot] * frozen[agent].denominator for agent, slot in slots.items()
@@ -397,13 +396,13 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
         raise MechanismError("profile is not realizable by a divisible maximum flow")
     profile = replace(filled, flow=flow)
     # twice each amount, on the flow's ints: both endpoints sum in one pass
-    ints, scale = flow.values.ints, 2 * flow.values.scale
+    ints, scale, arc_ids = flow.values.ints, 2 * flow.values.scale, flow.values.index.arc_ids
     exchange: dict[tuple[str, str], Fraction] = {}
     shared: dict[int, Fraction] = {}  # equal amounts share one Fraction
     induced = dict.fromkeys(inst.nodes, 0)
     for edge in inst.edges:
         u, v = edge
-        twice = ints[(_a(u), _b(v))] + ints[(_a(v), _b(u))]
+        twice = ints[arc_ids[(_a(u), _b(v))]] + ints[arc_ids[(_a(v), _b(u))]]
         exchange[edge] = shared.setdefault(twice, Fraction(twice, scale))
         induced[u] += twice
         induced[v] += twice
@@ -487,14 +486,17 @@ def build_lottery(
     if any(degrees[node] != inst.peaks[node] for node in ged.perfect):
         raise MechanismError("perfectly matched agents cannot be saturated internally")
 
-    # What every member is read on: the exchange arcs with their edges, and per multi-node
-    # odd component its arc per node in instance order (_realize's order) and its edges.
-    exchange = [(arc, tag[1]) for arc, tag in construction.provenance.items() if tag[0] == "exchange"]
+    # What every member is read on, by arc id: the exchange arcs with their edges, the supply
+    # arcs, and per multi-node odd component its arc per node in instance order (_realize's
+    # order) and its edges.
+    arc_ids = construction.network.index.arc_ids
+    exchange = [(arc_ids[arc], tag[1]) for arc, tag in construction.provenance.items() if tag[0] == "exchange"]
+    supply = [(agent, arc_ids[arc]) for agent, arc in construction.supply_arcs.items()]
     components = []
     for index, component in enumerate(ged.odd_components):
         if len(component) >= 2:
             keep = set(component)
-            arcs = {node: (_a(node), _component(index)) for node in inst.peaks if node in keep}
+            arcs = {node: arc_ids[(_a(node), _component(index))] for node in inst.peaks if node in keep}
             edges = tuple(e for e in inst.edges if e[0] in keep and e[1] in keep)
             components.append((component, arcs, edges))
     denominator = lcm(*(weight.denominator for _, weight in combination.entries))
@@ -524,10 +526,11 @@ def build_lottery(
         matching.check_feasible(inst)
         utilities = matching.utilities(inst)
         share = weight.numerator * (denominator // weight.denominator)
-        for agent, arc in construction.supply_arcs.items():
+        for agent, arc in supply:
             used = utilities[agent]
             if used * scale != ints[arc]:
-                raise MechanismError(f"agent {agent!r}: matched {used} but the member ships {member.values[arc]}")
+                shipped = Fraction(ints[arc], scale)
+                raise MechanismError(f"agent {agent!r}: matched {used} but the member ships {shipped}")
             expected[agent] += share * used
         if sum(utilities.values()) != flow.value:
             raise MechanismError("lottery member is not a maximum b-matching")

@@ -102,6 +102,73 @@ def test_copy_reads_its_int_caps_as_fractions():
     assert net.with_scaled_caps(4, [2, None, 6, 4, 0]).scaled_caps == (2, [1, None, 3, 2, 0])
 
 
+def test_constructor_and_with_caps_check_caps_alike():
+    net = simple_net({("s", "a"): 2, ("a", "b"): None, ("b", "t"): 3})
+    for cap, message in (
+        (1.5, "arc ('s', 'a'): capacity 1.5 is not an int or a Fraction"),
+        (True, "arc ('s', 'a'): capacity True is not an int or a Fraction"),
+        (-1, "arc ('s', 'a'): negative capacity -1"),
+        (Fraction(-1, 2), "arc ('s', 'a'): negative capacity Fraction(-1, 2)"),
+        (None, "unbounded capacity on terminal-incident arc ('s', 'a')"),
+    ):
+        with pytest.raises(FlowError, match=f"^{re.escape(message)}$"):
+            simple_net({("s", "a"): cap, ("a", "b"): None, ("b", "t"): 3})
+        with pytest.raises(FlowError, match=f"^{re.escape(message)}$"):
+            net.with_caps({("s", "a"): cap})
+    # int caps stay ints, on scale 1
+    assert net.scaled_caps == (1, [2, None, 3, 0])
+    assert simple_net({("s", "a"): Fraction(1, 2), ("a", "t"): 1}).scaled_caps == (2, [1, 2, 0])
+
+
+def test_every_form_of_a_flow_solves_and_cuts_alike():
+    # one flow as the view max_flow returned on another network with the same
+    # arcs (verify checks the fill's flow on a fresh construction), as a plain
+    # Fraction dict, and as a dict over the arcs that carry flow: each is written
+    # on the same ints, so max_flow, min_cut and is_maximum agree on all three
+    inst = hub15_instance()
+    first, other = build_divisible(inst).network, build_divisible(inst).network
+    assert other.index is not first.index and other.index.arcs == first.index.arcs
+    supply = next(arc for arc in first.arcs if arc[0] == first.source)
+    for flow, maximum in ((max_flow(first), True), (max_flow(first.with_caps({supply: 0})), False)):
+        forms = [
+            flow,
+            Flow(dict(flow.values), flow.value),
+            Flow({arc: x for arc, x in flow.values.items() if x}, flow.value),
+        ]
+        assert len(forms[2].values) < len(forms[1].values) == len(other.arcs)
+        assert flows._scaled(other, forms[0]) == flows._scaled(other, forms[1]) == flows._scaled(other, forms[2])
+        solved = [max_flow(other, start=form) for form in forms]
+        assert len({(tuple(s.values.items()), s.value, s.cut) for s in solved}) == 1
+        assert [is_maximum(other, form) for form in forms] == [maximum] * 3
+        cuts = set()
+        for form in forms:
+            try:
+                cuts.add(min_cut(other, form))
+            except FlowError as exc:
+                cuts.add(str(exc))
+        assert cuts == ({solved[0].cut} if maximum else {"flow is not maximum: augmenting path exists"})
+    # a view on another arc list goes through the same checks as a dict
+    short, long = simple_net({("s", "t"): 1}), simple_net({("s", "a"): 1, ("a", "t"): 1})
+    for check in (min_cut, lambda net, flow: max_flow(net, start=flow)):
+        with pytest.raises(FlowError, match=re.escape("flow on missing arc ('s', 't')")):
+            check(long, max_flow(short))
+    with pytest.raises(FlowError, match=re.escape("arc ('s', 't'): flow 0.5 is not an int or a Fraction")):
+        min_cut(short, Flow({("s", "t"): 0.5}, Fraction(1, 2)))
+    with pytest.raises(FlowError, match=re.escape("arc ('s', 't'): start flow 0.5 is not an int or a Fraction")):
+        max_flow(short, start=Flow({("s", "t"): 0.5}, Fraction(1, 2)))
+
+
+def test_decomposition_names_the_first_fractional_cap():
+    # caps are integers exactly when their least common denominator is 1
+    net = simple_net({("s", "a"): 2, ("a", "b"): Fraction(3, 2), ("b", "t"): Fraction(1, 3), ("a", "t"): 1})
+    for check in (decompose_max_flow, reference_decompose_max_flow):
+        with pytest.raises(FlowError, match=re.escape("arc ('a', 'b'): decomposition requires integer capacities")):
+            check(net, max_flow(net))
+    integral = net.with_scaled_caps(6, [12, 6, 6, 6, 0])
+    assert integral.scaled_caps == (1, [2, 1, 1, 1, 0])
+    assert len(decompose_max_flow(integral, max_flow(integral)).entries) == 1
+
+
 def test_diamond_doubled_network_value():
     # Forced by x1 + x2 <= x3 + x4 and x3 + x4 <= 5: total exchange tops out at 10.
     net = build_divisible(diamond_instance()).network

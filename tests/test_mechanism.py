@@ -26,7 +26,7 @@ from fairmatch import (
     probabilistic_marginals,
     sample_lottery,
 )
-from fairmatch.flows import ConvexCombination, Flow, FlowNetwork, ScaledValues, is_maximum
+from fairmatch.flows import ConvexCombination, Flow, FlowNetwork, Scaled, is_maximum
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
 from golden.record import seeded_instance
@@ -495,7 +495,8 @@ def test_lottery_refuses_a_member_with_a_fractional_arc(hub15, monkeypatch, kind
     profile = egalitarian_profile(built)
     (member, weight), *rest = decompose_max_flow(built.network, profile.flow).entries
     arc = next(arc for arc, tag in built.provenance.items() if tag[0] == kind)
-    halved = Flow(ScaledValues(2, {a: 2 * x + (a == arc) for a, x in member.values.ints.items()}), member.value)
+    index, slot = member.values.index, member.values.index.arc_ids[arc]
+    halved = Flow(Scaled(index, 2, [2 * x + (a == slot) for a, x in enumerate(member.values.ints)]), member.value)
     combination = ConvexCombination(((halved, weight), *rest))
     monkeypatch.setattr(mechanism, "decompose_max_flow", lambda net, flow: combination)
     with pytest.raises(MechanismError, match=f"integral member has a fractional {kind} arc"):

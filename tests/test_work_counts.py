@@ -280,15 +280,40 @@ def test_fill_builds_one_fraction_per_probe_in_flows(hub15, calls, build):
     assert calls["max_flow"] == 6
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [(build_indivisible, "hub15"), (build_divisible, "hub15"), (build_divisible, "capacitated")],
+)
+def test_constructions_build_no_fraction(hub15, build, name):
+    # a construction passes int caps, and its network checks each once and
+    # keeps it as an int: a Fraction per cap, coerced again and scaled back,
+    # made 27 and 30 Fractions on hub15 and 210 on the capacitated instance
+    inst = hub15 if name == "hub15" else seeded_instance(1, 60, 3, max_cap=3)
+    ged = ged_decompose(inst) if build is build_indivisible else None
+    counts = {"fractions": 0}
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        counts["fractions"] += sys._getframe(1).f_code.co_filename in (flows.__file__, mechanism.__file__)
+        return original(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted))
+        network = (build(inst, ged) if ged else build(inst)).network
+        scale, caps = network.scaled_caps
+    assert scale == 1 and len(caps) == len(network.index.arcs) + 1
+    assert counts["fractions"] == 0
+
+
 @pytest.mark.parametrize("build", [build_indivisible, build_divisible])
 def test_fill_probes_on_ints(hub15, build):
     # each probe writes its caps as ints on the previous probe's cap list and
     # takes the deficit and the lowered cap on ints: left are the comparisons
     # of lam with the previous breakpoint and the top peak. On Fraction caps
     # and deficits the fill made 311 and 274 operations in mechanism, and
-    # coerced 58 and 72 caps in 6 with_caps calls
+    # checked 58 and 72 caps in 6 with_caps calls
     construction = build(hub15)
-    counts = {"mechanism": 0, "coerced": 0, "with_caps": 0}
+    counts = {"mechanism": 0, "checked": 0, "with_caps": 0}
     with pytest.MonkeyPatch.context() as patch:
         for name in FRACTION_OPS:
             original = getattr(Fraction, name)
@@ -298,7 +323,7 @@ def test_fill_probes_on_ints(hub15, build):
                 return _original(*args)
 
             patch.setattr(Fraction, name, counted)
-        for owner, name, key in ((flows, "_coerce_cap", "coerced"), (flows.FlowNetwork, "with_caps", "with_caps")):
+        for owner, name, key in ((flows, "_check_cap", "checked"), (flows.FlowNetwork, "with_caps", "with_caps")):
             original = getattr(owner, name)
 
             def called(*args, _original=original, _key=key):
@@ -309,7 +334,7 @@ def test_fill_probes_on_ints(hub15, build):
         profile = egalitarian_profile(construction)
     assert profile.total > 0
     assert counts["mechanism"] <= 20
-    assert counts["coerced"] == counts["with_caps"] == 0
+    assert counts["checked"] == counts["with_caps"] == 0
 
 
 def test_decomposition_makes_almost_no_fraction_arithmetic_in_flows(hub15):
