@@ -73,7 +73,8 @@ class FlowNetwork:
             caps.append(cap)
         scale = lcm(*{cap.denominator for cap in caps if cap is not None})
         ints = [None if c is None else c.numerator * (scale // c.denominator) for c in caps]
-        object.__setattr__(self, "arcs", Scaled(self.index, scale, ints + [0]))  # index: from the arcs given
+        # the index is built here, from the arcs as given, before the view replaces them
+        object.__setattr__(self, "arcs", Scaled(self.index, scale, ints + [0]))
 
     @cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
@@ -230,7 +231,8 @@ def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tupl
     common = lcm(scale, own.scale, flow.value.denominator)
     if common != scale:
         caps = [None if c is None else c * (common // scale) for c in caps]
-    values = [x * (common // own.scale) for x in own.ints]  # new: max_flow augments it in place
+    factor = common // own.scale
+    values = [x * factor for x in own.ints]  # a new list: max_flow augments it in place
     return common, caps, values, flow.value.numerator * (common // flow.value.denominator)
 
 

@@ -30,7 +30,7 @@ from fairmatch import (
     mechanism,
 )
 
-from golden.record import MEMBERS, observe, seeded_instance
+from golden.record import CAPACITATED, MEMBERS, observe, seeded_instance
 from helpers import path_instance, triangle
 
 
@@ -288,8 +288,7 @@ def test_constructions_build_no_fraction(hub15, build, name):
     # a construction passes int caps, and its network checks each once and
     # keeps it as an int: a Fraction per cap, coerced again and scaled back,
     # made 27 and 30 Fractions on hub15 and 210 on the capacitated instance
-    inst = hub15 if name == "hub15" else seeded_instance(1, 60, 3, max_cap=3)
-    ged = ged_decompose(inst) if build is build_indivisible else None
+    inst = hub15 if name == "hub15" else seeded_instance(*CAPACITATED[0])
     counts = {"fractions": 0}
     original = Fraction.__new__
 
@@ -299,7 +298,7 @@ def test_constructions_build_no_fraction(hub15, build, name):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Fraction, "__new__", staticmethod(counted))
-        network = (build(inst, ged) if ged else build(inst)).network
+        network = build(inst).network
         scale, caps = network.scaled_caps
     assert scale == 1 and len(caps) == len(network.index.arcs) + 1
     assert counts["fractions"] == 0
