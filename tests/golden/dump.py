@@ -4,9 +4,10 @@ and to name the parts that differ when it does not.
 
 The instances are the benchmark's 50 (the ``perfbench/families.py`` members
 of ``mid-random``, ``big-peaks`` and ``cli-small``, on their canonical labels)
-plus the test suite's hub15, and the capacitated golden members of
-``tests/golden/record.py`` with their divisible parts alone (the indivisible
-rule refuses capacities). The parts, one output line each:
+plus the test suite's hub15, and the golden members of
+``tests/golden/record.py``: the capacitated ones with their divisible parts
+alone (the indivisible rule refuses capacities), then the family members. The
+parts, one output line each:
 
 - ``ged``: the GED classes and components;
 - ``ged.matching``: the maximum b-matching they came from;
@@ -109,7 +110,7 @@ def main(root: Path) -> None:
     import fairmatch
     import fairmatch.cli
     import families
-    from golden.record import CAPACITATED, seeded_instance
+    from golden.record import CAPACITATED, FAMILY_MEMBERS, family_instance, seeded_instance
     from helpers import hub15_instance
 
     cases = [
@@ -127,6 +128,9 @@ def main(root: Path) -> None:
         for member in CAPACITATED:
             inst = seeded_instance(*member)
             _print_parts(f"tests/{inst.name}", divisible_outputs(fairmatch, inst))
+        for member in FAMILY_MEMBERS:
+            inst = family_instance(*member)
+            _print_parts(f"tests/{inst.name}", library_outputs(fairmatch, inst))
         _print_parts("tests/hub15", library_outputs(fairmatch, hub15_instance()))
 
 

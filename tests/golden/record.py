@@ -8,7 +8,9 @@ each instance's lottery (every entry's probability and multiplicities), which
 depends on which maximum flow the engine finds: a change that moves a lottery
 re-records it and names the instance.  Exchanges and breakpoint images are
 left out.  The capacitated members hold the divisible outputs alone, since the
-indivisible rule refuses capacities.
+indivisible rule refuses capacities.  The family members (``FAMILY_MEMBERS``)
+carry the check to other shapes of graph: large peaks, trees, dense graphs, a
+star and chains of triangles.
 
 Regenerate (only when an output is meant to change) with::
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from fairmatch import (
@@ -60,6 +63,44 @@ def seeded_instance(seed: int, n: int, degree: float, max_peak: int = 3, max_cap
     return Instance.build(f"golden-{seed}", peaks, sorted(edges))
 
 
+def star_instance(seed: int, leaves: int = 60, hub_peak: int = 200, max_peak: int = 8) -> Instance:
+    """A hub of peak ``hub_peak`` joined to ``leaves`` leaves of peak 1 to ``max_peak``."""
+    rng = random.Random(f"golden/star/{seed}")
+    nodes = [(f"v{i}", rng.randint(1, max_peak)) for i in range(leaves)]
+    return Instance.build(f"star-{seed}", [("hub", hub_peak), *nodes], [("hub", node) for node, _ in nodes])
+
+
+def triangle_chain(seed: int, count: int = 30, max_peak: int = 3) -> Instance:
+    """``count`` triangles, each joined to the next by one edge, peaks 1 to ``max_peak``."""
+    rng = random.Random(f"golden/triangles/{seed}")
+    nodes, edges = [], []
+    for i in range(count):
+        a, b, c = (f"t{i}{x}" for x in "abc")
+        nodes += [(node, rng.randint(1, max_peak)) for node in (a, b, c)]
+        edges += [(a, b), (b, c), (a, c)] + ([(f"t{i - 1}c", a)] if i else [])
+    return Instance.build(f"triangles-{seed}", nodes, edges)
+
+
+FAMILIES = {
+    "peaks60": lambda seed: seeded_instance(seed, 80, 3, max_peak=60),
+    "tree": lambda seed: seeded_instance(seed, 120, 0),  # degree 0: the spanning tree alone
+    "dense": lambda seed: seeded_instance(seed, 40, 12),
+    "star": star_instance,
+    "triangles": triangle_chain,
+}
+# (family, seed), two seeds per family: seeds whose lottery has two or more
+# members, and whose triangle chain has 7 multi-node odd components.
+FAMILY_MEMBERS = (
+    ("peaks60", 1), ("peaks60", 2), ("tree", 1), ("tree", 2), ("dense", 2), ("dense", 3),
+    ("star", 1), ("star", 4), ("triangles", 36), ("triangles", 39),
+)
+
+
+def family_instance(family: str, seed: int) -> Instance:
+    """Member ``seed`` of one of ``FAMILIES``, named after both."""
+    return replace(FAMILIES[family](seed), name=f"{family}-{seed}")
+
+
 def observe(inst: Instance) -> dict:
     """The flow-independent outputs of both rules on ``inst``, and its lottery;
     of the divisible rule alone on a capacitated ``inst``."""
@@ -86,8 +127,8 @@ def observe(inst: Instance) -> dict:
 
 def main() -> None:
     fixtures = []
-    for member in (*MEMBERS, *CAPACITATED):
-        inst = seeded_instance(*member)
+    instances = [seeded_instance(*member) for member in (*MEMBERS, *CAPACITATED)]
+    for inst in instances + [family_instance(*member) for member in FAMILY_MEMBERS]:
         fixtures.append({"instance": inst.to_json_dict(), "expected": observe(inst)})
     FIXTURES.write_text(json.dumps(fixtures, indent=1, sort_keys=True) + "\n")
 
