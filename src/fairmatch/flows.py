@@ -159,11 +159,13 @@ class Scaled(Mapping):
 class Flow:
     """A feasible flow: exact arc values plus the value shipped source to sink.
     A flow returned by :func:`max_flow` keeps its ints as :class:`Scaled` and
-    carries ``cut``, the source side of the minimal minimum cut certifying it."""
+    carries ``cut``, the source side of the minimal minimum cut certifying it,
+    and ``network``, the network object it was certified on."""
 
     values: Mapping[Arc, Fraction]
     value: Fraction
     cut: frozenset[str] | None = field(default=None, compare=False, repr=False)
+    network: FlowNetwork | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> list[dict]:
         return [
@@ -309,13 +311,15 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     The search runs on the network's index, on ints: caps and ``start`` times a
     common denominator, which keeps the same paths. The last search reaches the
     minimal minimum cut; the flow is certified against it (:func:`_certify`) and
-    returned with it, as the :class:`Scaled` list it was solved on, over the
-    least common denominator.
+    returned with it and with ``net``, as the :class:`Scaled` list it was solved
+    on, over the least common denominator.
     """
     idx = net.index
     scale, caps, values, total = _scaled(net, start, as_start=True)
     if start is not None:
         total -= _cancel_excess(net, caps, values)
+        # cancelling fixes only terminal arcs: an inner arc above its cap would give a negative
+        # spare and push another arc past its cap, and the last check would name that arc
         _certify(net, caps, values, total, scale)
     while True:
         parent = _search(net, caps, values)
@@ -328,6 +332,7 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
                 values=Scaled(idx, scale // common, values),
                 value=Fraction(total, scale),
                 cut=frozenset(node for node, reached in zip(idx.nodes, parent) if reached is not None),
+                network=net,
             )
         path = _tree_path(idx, parent, idx.source, idx.sink)
         spares = [caps[f] - values[f] + values[b] for _, f, b in path if caps[f] is not None]
@@ -341,14 +346,18 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         total += bottleneck
 
 
-def _reached(net: FlowNetwork, flow: Flow, backward: bool = False) -> frozenset:
-    """The nodes the residual search of ``flow`` reaches, if ``flow`` is maximum."""
+def _maximum(net: FlowNetwork, flow: Flow, backward: bool = False) -> tuple[int, list[int], list]:
+    """``flow``'s scale and values on ``net`` and the tree of its residual search
+    (from the sink if ``backward``), if ``flow`` is a maximum flow of ``net``. It
+    is certified feasible first unless ``max_flow`` certified it on ``net`` itself:
+    the key is the network object, as a copy sharing its index may have other caps."""
     scale, caps, values, total = _scaled(net, flow)
-    _certify(net, caps, values, total, scale)
+    if flow.network is not net:
+        _certify(net, caps, values, total, scale)
     parent = _search(net, caps, values, backward)
     if parent[net.index.source if backward else net.index.sink] is not None:
         raise FlowError("flow is not maximum: augmenting path exists")
-    return frozenset(node for node, entry in zip(net.index.nodes, parent) if entry is not None)
+    return scale, values, parent
 
 
 def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
@@ -357,12 +366,14 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
 
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
-    return _reached(net, flow)
+    parent = _maximum(net, flow)[2]
+    return frozenset(node for node, entry in zip(net.index.nodes, parent) if entry is not None)
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The maximal minimum cut (source side): nodes that cannot reach the sink."""
-    return frozenset(net.index.nodes) - _reached(net, flow, backward=True)
+    parent = _maximum(net, flow, backward=True)[2]
+    return frozenset(node for node, entry in zip(net.index.nodes, parent) if entry is None)
 
 
 def is_maximum(net: FlowNetwork, flow: Flow) -> bool:
@@ -442,22 +453,21 @@ def decompose_max_flow(net: FlowNetwork, flow: Flow) -> ConvexCombination:
     fractional arc to an integer, so the support has at most #arcs + 1 members.
     The peeling runs on ints by arc id: ``rest`` (the unpeeled flow) and
     ``left`` (its weight) times the flow's common denominator, so the remainder
-    is ``rest / left``. Each member is certified against the input's minimum cut.
+    is ``rest / left``. Each member is certified against the input's minimum
+    cut: the source side of the residual search that shows the input maximum.
     """
     scale, caps = net.scaled_caps
     if scale != 1:  # the least common denominator of the caps
         arc = next(arc for arc, cap in zip(net.index.arcs, caps) if cap is not None and cap % scale)
         raise FlowError(f"arc {arc!r}: decomposition requires integer capacities")
     try:
-        cut = min_cut(net, flow)
+        scale, rest, side = _maximum(net, flow)
     except FlowError as exc:
         raise FlowError("decomposition requires a maximum flow") from exc
     if flow.value.denominator != 1:
         raise FlowError("maximum flow value is fractional despite integer capacities")
     target = int(flow.value)
     idx = net.index
-    scale, _, rest, _ = _scaled(net, flow)
-    side = [node in cut for node in idx.nodes]
 
     left = scale
     entries: list[tuple[Flow, Fraction]] = []

@@ -146,26 +146,16 @@ def build_indivisible(inst: Instance, ged: GedDecomposition | None = None) -> Bi
     )
 
 
-def _caps_at(
-    const_caps: Mapping[Arc, Fraction], linear_arcs: Iterable[Arc], lam: Fraction
-) -> dict[Arc, Fraction]:
-    caps = dict(const_caps)
-    for arc in linear_arcs:
-        caps[arc] = lam
-    return caps
-
-
 def _full_shipping_deficit(
     net: FlowNetwork,
     const_caps: Mapping[Arc, Fraction],
     linear_arcs: frozenset[Arc],
     lam: Fraction,
-) -> tuple[Fraction, Flow, FlowNetwork]:
-    caps = _caps_at(const_caps, linear_arcs, lam)
-    capped = net.with_caps(caps)
-    flow = max_flow(capped)
+) -> tuple[Fraction, Flow]:
+    caps = {**const_caps, **dict.fromkeys(linear_arcs, lam)}
+    flow = max_flow(net.with_caps(caps))
     supply = sum(caps.values(), Fraction(0))
-    return supply - flow.value, flow, capped
+    return supply - flow.value, flow
 
 
 def _sup_full_shipping(
@@ -179,11 +169,11 @@ def _sup_full_shipping(
     ships its full cap, found by discrete Newton from the right.
 
     Requires deficit(lo) == 0 and deficit(hi) >= 0, and returns hi with its
-    probe's flow and network when deficit(hi) == 0; each step intersects the
+    probe's flow when deficit(hi) == 0; each step intersects the
     supporting line of the current minimum cut with zero, which is exact in
     rational arithmetic and lands on the true breakpoint in finitely many cuts.
     """
-    deficit, flow, capped = _full_shipping_deficit(net, const_caps, linear_arcs, hi)
+    deficit, flow = _full_shipping_deficit(net, const_caps, linear_arcs, hi)
     current = hi
     while deficit > 0:
         cut_side = flow.cut
@@ -208,9 +198,9 @@ def _sup_full_shipping(
         candidate = (cut_const - supply_const) / coef
         if not lo <= candidate < current:
             raise MechanismError("bottleneck search left its segment")
-        deficit, flow, capped = _full_shipping_deficit(net, const_caps, linear_arcs, candidate)
+        deficit, flow = _full_shipping_deficit(net, const_caps, linear_arcs, candidate)
         current = candidate
-    return current, flow, capped
+    return current, flow
 
 
 def _lowered_cap(caps: list[int], deficit: int, scale: int) -> Fraction:
@@ -288,7 +278,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     trace: list[Breakpoint] = []
     active = sorted(supply_arcs)
     previous_break = Fraction(0)
-    capped, flow = net, None
+    flow = None
     scale, caps = net.scaled_caps
     while active:
         lam = top = Fraction(max(peaks[agent] for agent in active))
@@ -301,9 +291,8 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             level = lam.numerator * (probe // lam.denominator)
             for agent in active:
                 caps[slots[agent]] = min(level, peaks[agent] * probe)
-            capped = net.with_scaled_caps(probe, caps)
-            flow = max_flow(capped, start=flow)
-            scale, caps = capped.scaled_caps
+            flow = max_flow(net.with_scaled_caps(probe, caps), start=flow)
+            scale, caps = flow.network.scaled_caps
             # the flow's value is its cut's capacity, a sum of caps on this scale
             shipped = flow.value.numerator * (scale // flow.value.denominator)
             deficit = sum(caps[slot] for slot in slots.values()) - shipped
@@ -324,8 +313,8 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
                 frozen[agent] = Fraction(peaks[agent])
             break
         previous_break = lam
-        bottleneck_side = maximal_min_cut(capped, flow)
-        _bottleneck_identity(capped, bottleneck_side)
+        bottleneck_side = maximal_min_cut(flow.network, flow)
+        _bottleneck_identity(flow.network, bottleneck_side)
         newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
         if not newly:
             raise MechanismError("breakpoint without a bottlenecked agent")
@@ -340,7 +329,7 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
 
     if flow is None:  # no agents, so no probe: the zero flow ships the empty profile
         flow = Flow(values=Scaled(net.index, 1, [0] * len(caps)), value=Fraction(0))
-    # ``capped`` and ``flow`` are the last probe's, and it solved the frozen caps.
+    # ``flow`` is the last probe's, and its network has the frozen caps.
     if flow.value.numerator * scale != sum(caps[slot] for slot in slots.values()) * flow.value.denominator or any(
         frozen[agent].numerator * scale != caps[slot] * frozen[agent].denominator for agent, slot in slots.items()
     ):
@@ -365,8 +354,8 @@ def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:
         top = Fraction(min(peaks[agent] for agent in active))
         const_caps = {supply_arcs[agent]: frozen[agent] for agent in frozen}
         linear = frozenset(supply_arcs[agent] for agent in active)
-        lam, flow, capped = _sup_full_shipping(net, const_caps, linear, Fraction(0), top)
-        blocked = maximal_min_cut(capped, flow)
+        lam, flow = _sup_full_shipping(net, const_caps, linear, Fraction(0), top)
+        blocked = maximal_min_cut(flow.network, flow)
         tight = [
             agent
             for agent in active

@@ -147,6 +147,16 @@ def test_every_form_of_a_flow_solves_and_cuts_alike():
             except FlowError as exc:
                 cuts.add(str(exc))
         assert cuts == ({solved[0].cut} if maximum else {"flow is not maximum: augmenting path exists"})
+    # a flow is trusted only on the network object max_flow certified it on: a
+    # copy on the same index with a tighter cap checks it again and rejects it,
+    # though its residual search alone finds no augmenting path
+    flow, tighter = max_flow(first), first.with_caps({supply: 0})
+    assert tighter.index is first.index and flow.values[supply] > 0
+    assert not is_maximum(tighter, flow)
+    for check in (min_cut, maximal_min_cut):
+        with pytest.raises(FlowError, match=re.escape(f"arc {supply!r}: flow {flow.values[supply]} outside [0, 0]")):
+            check(tighter, flow)
+    assert is_maximum(first, flow) and min_cut(first, flow) == flow.cut
     # a view on another arc list goes through the same checks as a dict
     short, long = simple_net({("s", "t"): 1}), simple_net({("s", "a"): 1, ("a", "t"): 1})
     for check in (min_cut, lambda net, flow: max_flow(net, start=flow)):
@@ -471,6 +481,14 @@ def test_warm_start_rejects_infeasible_start():
         max_flow(net.with_caps({("s", "a"): 1}), start=stranded)
     with pytest.raises(FlowError, match="missing arc"):
         max_flow(net, start=Flow(values={("a", "s"): Fraction(0)}, value=Fraction(0)))
+    # conserved, and no terminal arc above its cap, yet a -> b carries 4 over
+    # its cap of 1: augmenting from it would push s -> a past its cap
+    loop = simple_net({("s", "a"): 5, ("a", "b"): 1, ("b", "a"): 1, ("b", "t"): 4, ("a", "t"): 1})
+    over_loop = Flow(
+        values={("s", "a"): 4, ("a", "b"): 4, ("b", "a"): 1, ("b", "t"): 3, ("a", "t"): 1}, value=Fraction(4)
+    )
+    with pytest.raises(FlowError, match=re.escape("arc ('a', 'b'): flow 4 outside [0, 1]")):
+        max_flow(loop, start=over_loop)
 
 
 def _same_as_reference(net: FlowNetwork, start: Flow | None = None) -> Flow:

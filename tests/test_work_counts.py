@@ -125,12 +125,60 @@ def test_indivisible_outcome_solves_hub15(hub15, calls):
 
 
 def test_indivisible_outcome_certifies_hub15_flows_once(hub15, calls):
-    # the decomposition takes the fill's flow's cut once and certifies each of
-    # the lottery's three members against it: a residual search per member
-    # took 4 is_maximum calls
+    # the decomposition searches the fill's flow's residual network once and
+    # certifies each of the lottery's three members against that cut: a
+    # residual search per member took 4 is_maximum calls, and reaching the cut
+    # through min_cut one call
     indivisible_outcome(hub15)
     assert calls["is_maximum"] == 0
-    assert calls["min_cut"] == 1
+    assert calls["min_cut"] == 0
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    # flows._certify calls, by the name of the calling function
+    callers = {}
+    original = flows._certify
+
+    def counted(*args, **kwargs):
+        caller = sys._getframe(1).f_code.co_name
+        callers[caller] = callers.get(caller, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_certify", counted)
+    return callers
+
+
+@pytest.mark.parametrize(
+    "rule, build",
+    [(egalitarian_profile, build_indivisible), (egalitarian_profile, build_divisible), (egalitarian_lp, build_indivisible)],
+)
+def test_flows_are_certified_only_by_max_flow(hub15, certificates, rule, build):
+    # maximal_min_cut reads a flow on the network max_flow certified it on
+    # without certifying it again: that took 2 more certificates per fill and
+    # 3 in egalitarian_lp
+    rule(build(hub15))
+    assert set(certificates) == {"max_flow"}
+
+
+def test_decomposition_scales_its_input_once(hub15, monkeypatch):
+    # one residual search both checks the input and gives the members' cut:
+    # scaling it again for min_cut took 2 calls on the input, 4 in all with the
+    # two box solves
+    construction = build_indivisible(hub15)
+    flow = egalitarian_profile(construction).flow
+    counts = {"input": 0, "all": 0}
+    original = flows._scaled
+
+    def counted(net, start, **kwargs):
+        counts["input"] += start is flow
+        counts["all"] += 1
+        return original(net, start, **kwargs)
+
+    monkeypatch.setattr(flows, "_scaled", counted)
+    combination = flows.decompose_max_flow(construction.network, flow)
+    assert len(combination.entries) == 3
+    assert counts == {"input": 1, "all": 3}
 
 
 def test_manipulation_builds_no_lottery(hub15, calls):
