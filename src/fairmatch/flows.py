@@ -165,7 +165,7 @@ class Flow:
     values: Mapping[Arc, Fraction]
     value: Fraction
     cut: frozenset[str] | None = field(default=None, compare=False, repr=False)
-    network: FlowNetwork | None = field(default=None, compare=False, repr=False)
+    network: FlowNetwork | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json(self) -> list[dict]:
         return [
@@ -328,12 +328,13 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
             common = gcd(scale, total, *values)
             if common > 1:
                 values = [x // common for x in values]
-            return Flow(
+            flow = Flow(
                 values=Scaled(idx, scale // common, values),
                 value=Fraction(total, scale),
                 cut=frozenset(node for node, reached in zip(idx.nodes, parent) if reached is not None),
-                network=net,
             )
+            object.__setattr__(flow, "network", net)  # not an init field: no other caller vouches
+            return flow
         path = _tree_path(idx, parent, idx.source, idx.sink)
         spares = [caps[f] - values[f] + values[b] for _, f, b in path if caps[f] is not None]
         if not spares:
@@ -347,10 +348,9 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
 
 
 def _maximum(net: FlowNetwork, flow: Flow, backward: bool = False) -> tuple[int, list[int], list]:
-    """``flow``'s scale and values on ``net`` and the tree of its residual search
-    (from the sink if ``backward``), if ``flow`` is a maximum flow of ``net``. It
-    is certified feasible first unless ``max_flow`` certified it on ``net`` itself:
-    the key is the network object, as a copy sharing its index may have other caps."""
+    """``flow``'s scale, values and residual search tree on ``net`` (from the sink
+    if ``backward``), if it is a maximum flow of ``net``: certified feasible first,
+    unless ``max_flow`` certified it on this very object (a copy may share the index)."""
     scale, caps, values, total = _scaled(net, flow)
     if flow.network is not net:
         _certify(net, caps, values, total, scale)

@@ -156,7 +156,12 @@ def test_every_form_of_a_flow_solves_and_cuts_alike():
     for check in (min_cut, maximal_min_cut):
         with pytest.raises(FlowError, match=re.escape(f"arc {supply!r}: flow {flow.values[supply]} outside [0, 0]")):
             check(tighter, flow)
+    with pytest.raises(FlowError, match="decomposition requires a maximum flow") as caught:
+        decompose_max_flow(tighter, flow)
+    assert "outside [0, 0]" in str(caught.value.__cause__)
     assert is_maximum(first, flow) and min_cut(first, flow) == flow.cut
+    with pytest.raises(TypeError):  # only max_flow sets the network a flow was certified on
+        Flow(flow.values, flow.value, network=tighter)
     # a view on another arc list goes through the same checks as a dict
     short, long = simple_net({("s", "t"): 1}), simple_net({("s", "a"): 1, ("a", "t"): 1})
     for check in (min_cut, lambda net, flow: max_flow(net, start=flow)):

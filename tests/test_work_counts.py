@@ -163,8 +163,8 @@ def test_flows_are_certified_only_by_max_flow(hub15, certificates, rule, build):
 
 def test_decomposition_scales_its_input_once(hub15, monkeypatch):
     # one residual search both checks the input and gives the members' cut:
-    # scaling it again for min_cut took 2 calls on the input, 4 in all with the
-    # two box solves
+    # checking it through min_cut and scaling it again for the peeling took 2
+    # calls on the input, 4 in all with the two box solves
     construction = build_indivisible(hub15)
     flow = egalitarian_profile(construction).flow
     counts = {"input": 0, "all": 0}
