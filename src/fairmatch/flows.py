@@ -176,25 +176,89 @@ class Flow:
 
 
 def _search(net: FlowNetwork, caps: list, values: list[int], backward: bool = False) -> list:
-    """BFS tree of the residual network of ``values`` under ``caps`` from the
-    source, or backward from the sink (along residual arcs into each node), up
-    to the other terminal: per node, None or the row entry that reached it."""
+    """Breadth-first depths in the residual network of ``values`` under ``caps``
+    from the source, or backward from the sink (along residual arcs into each
+    node), up to the depth of the other terminal: per node, None if the search
+    did not reach it, else its distance plus 1. The start reads 1, so every
+    reached entry is true and the list is a source side for :func:`_certify`.
+    Forward, these are the levels of one phase of :func:`max_flow`."""
     idx = net.index
     start, goal = (idx.sink, idx.source) if backward else (idx.source, idx.sink)
-    parent: list = [None] * len(idx.rows)
-    parent[start] = (start, -1, -1)
+    depth: list = [None] * len(idx.rows)
+    depth[start] = 1
     queue = [start]
     for u in queue:
-        if parent[goal] is not None:
+        if depth[goal] is not None:
             break
-        for entry in idx.rows[u]:
-            v, f, b = entry
+        deeper = depth[u] + 1
+        for v, f, b in idx.rows[u]:
             if backward:
                 f, b = b, f
-            if parent[v] is None and (caps[f] is None or caps[f] > values[f] or values[b]):
-                parent[v] = entry
+            if depth[v] is None and (caps[f] is None or caps[f] > values[f] or values[b]):
+                depth[v] = deeper
                 queue.append(v)
-    return parent
+    return depth
+
+
+def _augment(path: list[tuple[int, int, int]], caps: list, values: list[int]) -> int:
+    """Push the bottleneck along ``path``, row entries from the source to the
+    sink, cancelling flow on each backward arc first; returns the bottleneck.
+    :class:`FlowError` when no arc of the path is bounded."""
+    spares = [caps[f] - values[f] + values[b] for _, f, b in path if caps[f] is not None]
+    if not spares:
+        raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
+    bottleneck = min(spares)
+    for _, f, b in path:  # arc -1 takes 0 and stays 0
+        cancel = min(bottleneck, values[b])
+        values[b] -= cancel
+        values[f] += bottleneck - cancel
+    return bottleneck
+
+
+def _blocking(idx: _Index, caps: list, values: list[int], depth: list) -> int:
+    """Augment along shortest paths until none is left at the sink's ``depth``:
+    one phase of Dinic's algorithm. A depth-first walk takes, in row order, arcs
+    with residual into the next depth, short of the sink's unless into the sink,
+    with one current-arc pointer per node. A pointer stays on an arc the walk
+    went on along, and moves past one with no residual or into a dead end, whose
+    depth becomes None. Each walk finds the first shortest path in row order,
+    the path the next :func:`_search` would find (see :func:`max_flow`).
+    Returns the value shipped."""
+    rows, source, sink = idx.rows, idx.source, idx.sink
+    last = depth[sink]
+    pointer = [0] * len(rows)
+    path: list = []  # row entries from the source to u
+    u, shipped = source, 0
+    while True:
+        if u == sink:
+            shipped += _augment(path, caps, values)
+            # back to the tail of the first arc left without residual: a walk
+            # from the source would retrace the path up to there
+            for k, (_, f, b) in enumerate(path):
+                if caps[f] == values[f] and not values[b]:
+                    break
+            del path[k:]
+            u = path[-1][0] if path else source
+            continue
+        row, k, deeper = rows[u], pointer[u], depth[u] + 1
+        end = len(row)
+        while k < end:
+            v, f, b = row[k]
+            if depth[v] == deeper and (deeper < last or v == sink):
+                if caps[f] is None or caps[f] > values[f] or values[b]:
+                    break
+            k += 1
+        pointer[u] = k
+        if k < end:
+            path.append(row[k])
+            u = row[k][0]
+        elif u == source:
+            return shipped
+        else:
+            depth[u] = None
+            path.pop()
+            u = path[-1][0] if path else source
+            pointer[u] += 1
 
 
 def _tree_path(idx: _Index, parent: list, start: int, v: int) -> list[tuple[int, int, int]]:
@@ -308,11 +372,21 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     first (see :func:`_cancel_excess`); :class:`FlowError` when it cannot be,
     or when ``start`` is infeasible in any other way.
 
-    The search runs on the network's index, on ints: caps and ``start`` times a
-    common denominator, which keeps the same paths. The last search reaches the
-    minimal minimum cut; the flow is certified against it (:func:`_certify`) and
-    returned with it and with ``net``, as the :class:`Scaled` list it was solved
-    on, over the least common denominator.
+    The paths are found in phases (Dinitz 1970; Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, section 7.4): one :func:`_search` sets the depths,
+    then :func:`_blocking` augments along every path of the sink's depth. They
+    are the paths of one breadth-first search per path (Edmonds & Karp 1972).
+    That search sets each node's parent at first discovery, in row order, so
+    its path to the sink is the first shortest path in row order, which is the
+    path the walk finds. Augmenting only removes level arcs and adds arcs one
+    level back, which lie on no path of that length, so each later walk of the
+    phase finds the path the next search would.
+
+    It runs on the network's index, on ints: caps and ``start`` times a common
+    denominator, which keeps the same paths. The search that misses the sink
+    reaches the minimal minimum cut; the flow is certified against it
+    (:func:`_certify`) and returned with it and with ``net``, as the
+    :class:`Scaled` list it was solved on, over the least common denominator.
     """
     idx = net.index
     scale, caps, values, total = _scaled(net, start, as_start=True)
@@ -322,42 +396,33 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
         # spare and push another arc past its cap, and the last check would name that arc
         _certify(net, caps, values, total, scale)
     while True:
-        parent = _search(net, caps, values)
-        if parent[idx.sink] is None:
-            _certify(net, caps, values, total, scale, side=parent)
+        depth = _search(net, caps, values)
+        if depth[idx.sink] is None:
+            _certify(net, caps, values, total, scale, side=depth)
             common = gcd(scale, total, *values)
             if common > 1:
                 values = [x // common for x in values]
             flow = Flow(
                 values=Scaled(idx, scale // common, values),
                 value=Fraction(total, scale),
-                cut=frozenset(node for node, reached in zip(idx.nodes, parent) if reached is not None),
+                cut=frozenset(node for node, reached in zip(idx.nodes, depth) if reached is not None),
             )
             object.__setattr__(flow, "network", net)  # not an init field: no other caller vouches
             return flow
-        path = _tree_path(idx, parent, idx.source, idx.sink)
-        spares = [caps[f] - values[f] + values[b] for _, f, b in path if caps[f] is not None]
-        if not spares:
-            raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
-        bottleneck = min(spares)
-        for _, f, b in path:  # arc -1 takes 0 and stays 0
-            cancel = min(bottleneck, values[b])
-            values[b] -= cancel
-            values[f] += bottleneck - cancel
-        total += bottleneck
+        total += _blocking(idx, caps, values, depth)
 
 
 def _maximum(net: FlowNetwork, flow: Flow, backward: bool = False) -> tuple[int, list[int], list]:
-    """``flow``'s scale, values and residual search tree on ``net`` (from the sink
+    """``flow``'s scale, values and residual search depths on ``net`` (from the sink
     if ``backward``), if it is a maximum flow of ``net``: certified feasible first,
     unless ``max_flow`` certified it on this very object (a copy may share the index)."""
     scale, caps, values, total = _scaled(net, flow)
     if flow.network is not net:
         _certify(net, caps, values, total, scale)
-    parent = _search(net, caps, values, backward)
-    if parent[net.index.source if backward else net.index.sink] is not None:
+    depth = _search(net, caps, values, backward)
+    if depth[net.index.source if backward else net.index.sink] is not None:
         raise FlowError("flow is not maximum: augmenting path exists")
-    return scale, values, parent
+    return scale, values, depth
 
 
 def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
@@ -366,14 +431,14 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
 
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
-    parent = _maximum(net, flow)[2]
-    return frozenset(node for node, entry in zip(net.index.nodes, parent) if entry is not None)
+    depth = _maximum(net, flow)[2]
+    return frozenset(node for node, reached in zip(net.index.nodes, depth) if reached is not None)
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
     """The maximal minimum cut (source side): nodes that cannot reach the sink."""
-    parent = _maximum(net, flow, backward=True)[2]
-    return frozenset(node for node, entry in zip(net.index.nodes, parent) if entry is None)
+    depth = _maximum(net, flow, backward=True)[2]
+    return frozenset(node for node, reached in zip(net.index.nodes, depth) if reached is None)
 
 
 def is_maximum(net: FlowNetwork, flow: Flow) -> bool:

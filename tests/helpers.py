@@ -323,10 +323,12 @@ def _reference_cancel_excess(net: FlowNetwork, values: dict[tuple[str, str], Fra
     return cancelled
 
 
-def reference_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
+def reference_max_flow(net: FlowNetwork, start: Flow | None = None, record: list | None = None) -> Flow:
     """Shortest augmenting paths with every residual, bottleneck and flow value
     a ``Fraction``; the reference for the scaled-integer ``max_flow``, which
-    must return the same flow, key order included."""
+    must return the same flow, key order included, and take the same paths:
+    given a ``record`` list, each augmentation is appended to it as its path's
+    arcs (node pairs from the source) and its bottleneck."""
     values: dict[tuple[str, str], Fraction] = {arc: Fraction(0) for arc in net.arcs}
     total = Fraction(0)
     if start is not None:
@@ -345,6 +347,8 @@ def reference_max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
                 bottleneck = spare
         if bottleneck is None:
             raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
+        if record is not None:
+            record.append((path, bottleneck))
         for u, v in path:
             back = values.get((v, u), 0)
             cancel = min(bottleneck, back)

@@ -29,7 +29,7 @@ from fairmatch import (
 from fairmatch.flows import ConvexCombination, Flow, FlowNetwork, Scaled, is_maximum
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
-from golden.record import seeded_instance
+from golden.record import FAMILY_MEMBERS, family_instance, seeded_instance
 from helpers import (
     _reference_bottleneck_identity,
     _reference_lowered_cap,
@@ -316,6 +316,16 @@ def test_methods_agree_many_peak_levels(seed):
         random_connected_instance(rng, max_nodes=10, max_peak=6, min_nodes=6)
     )
     assert egalitarian_profile(indivisible).values == egalitarian_lp(indivisible).values
+
+
+@pytest.mark.parametrize("member", FAMILY_MEMBERS, ids=[f"{family}-{seed}" for family, seed in FAMILY_MEMBERS])
+def test_methods_agree_on_the_golden_families(member):
+    # large peaks, trees, dense graphs, a star and chains of triangles: the
+    # breakpoint search and the rounds of egalitarian_lp, which solves every
+    # probe from zero, give the same profile on both constructions
+    inst = family_instance(*member)
+    for built in (build_indivisible(inst), build_divisible(inst)):
+        assert egalitarian_lp(built).values == egalitarian_profile(built).values
 
 
 def test_breakpoint_trace_hub15_network(hub15):
