@@ -191,27 +191,39 @@ def _search(net: FlowNetwork, caps: list, values: list[int], backward: bool = Fa
         if depth[goal] is not None:
             break
         deeper = depth[u] + 1
-        for v, f, b in idx.rows[u]:
-            if backward:
-                f, b = b, f
-            if depth[v] is None and (caps[f] is None or caps[f] > values[f] or values[b]):
-                depth[v] = deeper
-                queue.append(v)
+        if backward:  # the arc from v into u is the row entry's backward arc
+            for v, b, f in idx.rows[u]:
+                if depth[v] is None and (caps[f] is None or caps[f] > values[f] or values[b]):
+                    depth[v] = deeper
+                    queue.append(v)
+        else:
+            for v, f, b in idx.rows[u]:
+                if depth[v] is None and (caps[f] is None or caps[f] > values[f] or values[b]):
+                    depth[v] = deeper
+                    queue.append(v)
     return depth
 
 
 def _augment(path: list[tuple[int, int, int]], caps: list, values: list[int]) -> int:
     """Push the bottleneck along ``path``, row entries from the source to the
-    sink, cancelling flow on each backward arc first; returns the bottleneck.
-    :class:`FlowError` when no arc of the path is bounded."""
-    spares = [caps[f] - values[f] + values[b] for _, f, b in path if caps[f] is not None]
-    if not spares:
+    sink, cancelling flow on each backward arc first; returns the bottleneck,
+    found in one pass before another updates the values. :class:`FlowError`
+    when no arc of the path is bounded."""
+    bottleneck = None
+    for _, f, b in path:
+        if caps[f] is not None:
+            spare = caps[f] - values[f] + values[b]
+            if bottleneck is None or spare < bottleneck:
+                bottleneck = spare
+    if bottleneck is None:
         raise FlowError("unbounded augmenting path (unbounded terminal arc?)")
-    bottleneck = min(spares)
     for _, f, b in path:  # arc -1 takes 0 and stays 0
-        cancel = min(bottleneck, values[b])
-        values[b] -= cancel
-        values[f] += bottleneck - cancel
+        back = values[b]
+        if back >= bottleneck:
+            values[b] = back - bottleneck
+        else:
+            values[b] = 0
+            values[f] += bottleneck - back
     return bottleneck
 
 
@@ -261,16 +273,6 @@ def _blocking(idx: _Index, caps: list, values: list[int], depth: list) -> int:
             pointer[u] += 1
 
 
-def _tree_path(idx: _Index, parent: list, start: int, v: int) -> list[tuple[int, int, int]]:
-    """Row entries of the search-tree path from ``start`` to ``v``."""
-    path = []
-    while v != start:
-        _, f, b = entry = parent[v]
-        path.append(entry)
-        v = idx.tails[f] if f >= 0 else idx.heads[b]
-    return path
-
-
 def _scaled(net: FlowNetwork, flow: Flow | None, as_start: bool = False) -> tuple[int, list, list[int], int]:
     """``scale``, a common denominator of the finite caps and of ``flow``, and
     the caps (unbounded stays None), a new list of the arc values by arc id and
@@ -314,7 +316,7 @@ def _certify(net: FlowNetwork, caps: list, values: list[int], total: int, scale:
     crossing = 0
     for arc, x, cap, u, v in zip(idx.arcs, values, caps, idx.tails, idx.heads):
         if x < 0 or (cap is not None and x > cap):
-            raise FlowError(f"arc {arc!r}: flow {Fraction(x, scale)} outside [0, {cap and Fraction(cap, scale)}]")
+            _bounds(idx, caps, values, scale)
         balance[u] -= x
         balance[v] += x
         if side is not None and side[u] and not side[v]:
@@ -330,34 +332,46 @@ def _certify(net: FlowNetwork, caps: list, values: list[int], total: int, scale:
         raise FlowError("flow is not maximum: its cut has more capacity than its value")
 
 
+def _bounds(idx: _Index, caps: list, values: list[int], scale: int) -> None:
+    """Raise :class:`FlowError` at the first arc, in arc order, outside [0, cap]."""
+    for arc, x, cap in zip(idx.arcs, values, caps):
+        if x < 0 or (cap is not None and x > cap):
+            raise FlowError(f"arc {arc!r}: flow {Fraction(x, scale)} outside [0, {cap and Fraction(cap, scale)}]")
+
+
 def _cancel_excess(net: FlowNetwork, caps: list, values: list[int]) -> int:
     """Bring every terminal arc down to its cap: cancel the flow it carries above
     the cap along shortest paths of positive-flow arcs, in row order. Arcs out
     of the source go first, each along paths from its head to the sink; then
-    arcs into the sink, each from the source to its tail. Returns the value cancelled."""
+    arcs into the sink, each from the source to its tail, skipping arcs without
+    excess. A search keeps the arc each reached node came by in a dict of the
+    reached nodes; a walk back along the tails gives the path and the amount.
+    Returns the value cancelled."""
     idx = net.index
-    source, sink, rows = idx.source, idx.sink, idx.rows
+    source, sink, rows, tails = idx.source, idx.sink, idx.rows, idx.tails
+    terminal = [f for _, f, _ in rows[source]] + [b for _, _, b in rows[sink]]
     cancelled = 0
-    for arc in [f for _, f, _ in rows[source]] + [b for _, _, b in rows[sink]]:
-        tail, head = idx.tails[arc], idx.heads[arc]
-        start, goal = (head, sink) if tail == source else (source, tail)
+    for arc in [a for a in terminal if values[a] > caps[a]]:
+        start, goal = (idx.heads[arc], sink) if tails[arc] == source else (source, tails[arc])
         excess = values[arc] - caps[arc]
         while excess > 0:
-            parent: list = [None] * len(rows)
-            parent[start] = (start, -1, -1)
+            came = {start: -1}  # by node: the arc it came by, along arcs with flow (arc -1 has none)
             queue = [start]
             for u in queue:
-                if parent[goal] is not None:
+                if goal in came:
                     break
-                for entry in rows[u]:  # along arcs that carry flow
-                    if parent[entry[0]] is None and values[entry[1]] > 0:
-                        parent[entry[0]] = entry
-                        queue.append(entry[0])
-            if parent[goal] is None:
+                for v, f, _ in rows[u]:
+                    if v not in came and values[f] > 0:
+                        came[v] = f
+                        queue.append(v)
+            if goal not in came:
                 raise FlowError(f"arc {idx.arcs[arc]!r}: cannot cancel the flow above its cap")
-            path = [f for _, f, _ in _tree_path(idx, parent, start, goal)]
-            amount = min([excess, *(values[a] for a in path)])
-            for a in [arc, *path]:
+            path, amount, v = [arc], excess, goal
+            while v != start:
+                path.append(f := came[v])
+                amount = min(amount, values[f])
+                v = tails[f]
+            for a in path:
                 values[a] -= amount
             excess -= amount
             cancelled += amount
@@ -370,7 +384,10 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     feasible flow of ``net`` except that terminal arcs (out of the source or
     into the sink) may carry more than their caps. That excess is cancelled
     first (see :func:`_cancel_excess`); :class:`FlowError` when it cannot be,
-    or when ``start`` is infeasible in any other way.
+    or when ``start`` is infeasible in any other way. Only its bounds are checked
+    then (:func:`_bounds`): augmenting keeps each inner node's imbalance and moves
+    the source's outflow with the value, so the one closing certificate rejects
+    an unbalanced or mis-valued start, with the same message.
 
     The paths are found in phases (Dinitz 1970; Ahuja, Magnanti & Orlin,
     *Network Flows*, 1993, section 7.4): one :func:`_search` sets the depths,
@@ -392,9 +409,8 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     scale, caps, values, total = _scaled(net, start, as_start=True)
     if start is not None:
         total -= _cancel_excess(net, caps, values)
-        # cancelling fixes only terminal arcs: an inner arc above its cap would give a negative
-        # spare and push another arc past its cap, and the last check would name that arc
-        _certify(net, caps, values, total, scale)
+        # an inner arc above its cap would give a negative spare and push another past its cap
+        _bounds(idx, caps, values, scale)
     while True:
         depth = _search(net, caps, values)
         if depth[idx.sink] is None:

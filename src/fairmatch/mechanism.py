@@ -381,7 +381,8 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
     # The fill's flow ships the profile on every supply arc; max_flow cancels
     # what it carries above the profile on demand arcs, then augments back.
     flow = max_flow(construction.network.with_caps(pinned), start=filled.flow)
-    if flow.value != filled.total:
+    # the fill's closing check showed its flow's value to be the profile's total
+    if flow.value != filled.flow.value:
         raise MechanismError("profile is not realizable by a divisible maximum flow")
     profile = replace(filled, flow=flow)
     # twice each amount, on the flow's ints: both endpoints sum in one pass
@@ -396,7 +397,8 @@ def egalitarian_divisible(inst: Instance) -> tuple[UtilityProfile, dict[tuple[st
         induced[u] += twice
         induced[v] += twice
     for node in inst.nodes:
-        if Fraction(induced[node], scale) != profile[node]:
+        x = profile[node]
+        if induced[node] * x.denominator != x.numerator * scale:
             raise MechanismError(f"symmetrized exchange misses the profile at {node!r}")
     return profile, exchange
 

@@ -323,17 +323,24 @@ def _reference_cancel_excess(net: FlowNetwork, values: dict[tuple[str, str], Fra
     return cancelled
 
 
-def reference_max_flow(net: FlowNetwork, start: Flow | None = None, record: list | None = None) -> Flow:
+def reference_max_flow(
+    net: FlowNetwork, start: Flow | None = None, record: list | None = None, cancelled: list | None = None
+) -> Flow:
     """Shortest augmenting paths with every residual, bottleneck and flow value
     a ``Fraction``; the reference for the scaled-integer ``max_flow``, which
     must return the same flow, key order included, and take the same paths:
     given a ``record`` list, each augmentation is appended to it as its path's
-    arcs (node pairs from the source) and its bottleneck."""
+    arcs (node pairs from the source) and its bottleneck. Given a ``cancelled``
+    list, a ``start``'s cancellation is appended to it as the values right
+    after it, a dict by arc in ``net.arcs`` order, and the value it cancelled."""
     values: dict[tuple[str, str], Fraction] = {arc: Fraction(0) for arc in net.arcs}
     total = Fraction(0)
     if start is not None:
         values.update(start.values)
-        total = start.value - _reference_cancel_excess(net, values)
+        amount = _reference_cancel_excess(net, values)
+        if cancelled is not None:
+            cancelled.append((dict(values), amount))
+        total = start.value - amount
         reference_check_feasible(net, Flow(values=values, value=total))
     while True:
         parent = reference_search(net, net.arcs, values)

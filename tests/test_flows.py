@@ -478,9 +478,14 @@ def test_warm_start_rejects_infeasible_start():
     )
     with pytest.raises(FlowError, match="outside"):
         max_flow(inner, start=over_inner_cap)
+    # conservation and the value are checked once, after augmenting, which
+    # keeps a's imbalance and moves the source's outflow with the value
     unbalanced = Flow(values={("s", "a"): Fraction(2), ("a", "t"): Fraction(1)}, value=Fraction(2))
-    with pytest.raises(FlowError, match="conservation"):
+    with pytest.raises(FlowError, match="^" + re.escape("conservation violated at 'a' (imbalance 1)") + "$"):
         max_flow(net, start=unbalanced)
+    misvalued = Flow(values={("s", "a"): Fraction(1), ("a", "t"): Fraction(1)}, value=Fraction(2))
+    with pytest.raises(FlowError, match="^flow value does not match net outflow of the source$"):
+        max_flow(net, start=misvalued)
     stranded = Flow(values={("s", "a"): Fraction(2), ("a", "t"): Fraction(0)}, value=Fraction(2))
     with pytest.raises(FlowError, match="cannot cancel"):
         max_flow(net.with_caps({("s", "a"): 1}), start=stranded)
@@ -496,13 +501,14 @@ def test_warm_start_rejects_infeasible_start():
         max_flow(loop, start=over_loop)
 
 
-def _augmentations(net: FlowNetwork, start: Flow | None = None) -> tuple[Flow, list]:
-    """``max_flow(net, start)`` and every augmentation it made, in order, as
-    ``reference_max_flow`` records them: its path's arcs (node pairs from the
-    source) and its bottleneck."""
+def _augmentations(net: FlowNetwork, start: Flow | None = None) -> tuple[Flow, list, list]:
+    """``max_flow(net, start)``, every augmentation it made, in order, and its
+    cancellation of the start's excess, as ``reference_max_flow`` records them:
+    a path's arcs (node pairs from the source) and its bottleneck; the values
+    right after cancelling, by arc, and the value cancelled."""
     names, scale = net.index.nodes, flows._scaled(net, start, as_start=True)[0]
-    steps = []
-    original = flows._augment
+    steps, cancellation = [], []
+    original, original_cancel = flows._augment, flows._cancel_excess
 
     def recorded(path, caps, values):
         bottleneck = original(path, caps, values)
@@ -510,15 +516,25 @@ def _augmentations(net: FlowNetwork, start: Flow | None = None) -> tuple[Flow, l
         steps.append((list(zip(nodes, nodes[1:])), Fraction(bottleneck, scale)))
         return bottleneck
 
+    def cancelling(solved, caps, values):
+        amount = original_cancel(solved, caps, values)
+        after = {arc: Fraction(x, scale) for arc, x in zip(net.index.arcs, values)}
+        cancellation.append((after, Fraction(amount, scale)))
+        return amount
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flows, "_augment", recorded)
-        return max_flow(net, start), steps
+        patch.setattr(flows, "_cancel_excess", cancelling)
+        return max_flow(net, start), steps, cancellation
 
 
 def _same_as_reference(net: FlowNetwork, start: Flow | None = None) -> Flow:
-    flow, steps = _augmentations(net, start)
-    record = []
-    reference = reference_max_flow(net, start, record)
+    flow, steps, cancellation = _augmentations(net, start)
+    record, cancelled = [], []
+    reference = reference_max_flow(net, start, record, cancelled)
+    # a warm start's excess is cancelled along the reference's paths, to the
+    # same values and the same cancelled total
+    assert cancellation == cancelled
     # each phase's walk takes the path the reference's next search takes
     assert steps == record
     assert list(flow.values.items()) == list(reference.values.items())

@@ -161,6 +161,23 @@ def test_flows_are_certified_only_by_max_flow(hub15, certificates, rule, build):
     assert set(certificates) == {"max_flow"}
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda inst: egalitarian_profile(build_indivisible(inst)),
+        lambda inst: egalitarian_profile(build_divisible(inst)),
+        egalitarian_divisible,
+    ],
+    ids=["indivisible fill", "divisible fill", "egalitarian_divisible"],
+)
+def test_each_max_flow_certifies_once(hub15, calls, certificates, rule):
+    # a warm start's check after cancelling reads the bounds only; before,
+    # it was a whole second certificate, two per warm-started solve
+    rule(hub15)
+    assert calls["max_flow"] > 1
+    assert certificates == {"max_flow": calls["max_flow"]}
+
+
 def test_decomposition_scales_its_input_once(hub15, monkeypatch):
     # one residual search both checks the input and gives the members' cut:
     # checking it through min_cut and scaling it again for the peeling took 2
