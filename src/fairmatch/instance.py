@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -270,27 +270,44 @@ class ExpandedInstance:
         )
 
 
+def _node_index(peaks: Mapping[str, int], edges: tuple[Edge, ...]):
+    """Node ids in ``peaks`` order: each edge's endpoint ids, and each node's
+    sorted neighbour ids."""
+    ids = {node: i for i, node in enumerate(peaks)}
+    ends = [(ids[u], ids[v]) for u, v in edges]
+    nbrs: list[list[int]] = [[] for _ in ids]
+    for u, v in ends:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return ends, [sorted(row) for row in nbrs]
+
+
+def _copy_graph(counts: list[int], nbrs: list[list[int]]):
+    """The copy graph of ``counts[i]`` copies of node i, whose sorted neighbour
+    ids are ``nbrs[i]``. Copies are consecutive and in node order. Returns each
+    node's first copy (then the copy total), the node id of each copy, and each
+    copy's neighbour copies in node order (copies of one node share one list)."""
+    starts = list(accumulate(counts, initial=0))
+    owner, adj = [], []
+    for node, count in enumerate(counts):
+        if count:
+            row: list[int] = []
+            for nbr in nbrs[node]:
+                row += range(starts[nbr], starts[nbr + 1])
+            owner += [node] * count
+            adj += [row] * count
+    return starts, owner, adj
+
+
 def expand_nodes(peaks: Mapping[str, int], edges: tuple[Edge, ...]) -> ExpandedInstance:
     """The unit-peak copy graph of ``peaks`` (copies per node; 0 gives none)
-    over ``edges``, whose endpoints must be keys of ``peaks``. Edge
-    capacities are not modelled: callers check that there are none."""
-    indices: dict[str, range] = {}
-    owner: list[str] = []
-    for node, peak in peaks.items():
-        indices[node] = range(len(owner), len(owner) + peak)
-        owner += [node] * peak
-    nbrs: dict[str, list[range]] = {node: [] for node in indices}
-    for u, v in edges:
-        nbrs[u].append(indices[v])
-        nbrs[v].append(indices[u])
-    adj: list[list[int]] = []
-    for node, span in indices.items():
-        nbrs[node].sort(key=attrgetter("start"))
-        row: list[int] = []
-        for other in nbrs[node]:
-            row += other
-        adj += [row] * len(span)
-    return ExpandedInstance(indices=indices, owner=owner, adj=adj, base_edges=edges)
+    over ``edges``, whose endpoints must be keys of ``peaks``: `_copy_graph`
+    keyed by node name. Edge capacities are not modelled: callers check that
+    there are none."""
+    nodes = list(peaks)
+    starts, owner, adj = _copy_graph(list(peaks.values()), _node_index(peaks, edges)[1])
+    indices = {node: range(starts[i], starts[i + 1]) for i, node in enumerate(nodes)}
+    return ExpandedInstance(indices=indices, owner=[nodes[i] for i in owner], adj=adj, base_edges=edges)
 
 
 @dataclass(frozen=True)

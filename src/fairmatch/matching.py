@@ -5,14 +5,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping
 
 from .instance import (
     BMatching,
     Edge,
-    ExpandedInstance,
     ExpansionError,
     Instance,
+    _copy_graph,
+    _node_index,
     expand_nodes,
 )
 
@@ -145,105 +147,107 @@ def gallai_edmonds_indices(n: int, adj: list[list[int]], mate: list[int]) -> set
     return {i for i in range(n) if outer[i]}
 
 
-def _spare(peaks: Mapping[str, int], z: Mapping[Edge, int]) -> dict[str, int]:
-    spare = dict(peaks)
-    for (u, v), mult in z.items():
+def _spare(peaks: list[int], ends: list[tuple[int, int]], z: list[int]) -> list[int]:
+    spare = list(peaks)
+    for (u, v), mult in zip(ends, z):
         spare[u] -= mult
         spare[v] -= mult
     return spare
 
 
-def _reduced_graph(peaks: Mapping[str, int], edges: tuple[Edge, ...], z: Mapping[Edge, int]):
-    """The copy graph of ``z`` that does not grow with the peaks.
-
-    Each agent keeps two copies per edge that ``z`` uses (one if ``z`` uses it
-    once), matched to the other endpoint's copies as ``z`` pairs them, and
-    min(spare, 2) exposed copies; an agent with none of these has no copy.
-    Returns the expansion, the mate array of the kept pairs and the kept
-    multiplicities.
-    """
-    kept = {edge: min(mult, 2) for edge, mult in z.items()}
-    counts = {node: min(spare, 2) for node, spare in _spare(peaks, z).items()}
-    for (u, v), pairs in kept.items():
+def _reduced(spare: list[int], ends: list[tuple[int, int]], z: list[int]):
+    """The copy graph of ``z`` that does not grow with the peaks: each node
+    keeps two copies per edge that ``z`` uses (one if ``z`` uses it once),
+    matched to the other endpoint's copies in edge order, then min(spare, 2)
+    exposed copies. Returns the copies per node, the mate array of the kept
+    pairs (copies numbered as `_copy_graph` numbers them) and the kept
+    multiplicities, by node and edge id."""
+    kept = [min(mult, 2) for mult in z]
+    counts = [min(left, 2) for left in spare]
+    for (u, v), pairs in zip(ends, kept):
         counts[u] += pairs
         counts[v] += pairs
-    expanded = expand_nodes(counts, edges)
-    mate = [-1] * len(expanded.owner)
-    free = {node: span.start for node, span in expanded.indices.items()}
-    for (u, v), pairs in kept.items():
+    free = list(accumulate(counts, initial=0))
+    mate = [-1] * free[-1]
+    for (u, v), pairs in zip(ends, kept):
         for _ in range(pairs):
             cu, cv = free[u], free[v]
             free[u] += 1
             free[v] += 1
             mate[cu] = cv
             mate[cv] = cu
-    return expanded, mate, kept
+    return counts, mate, kept
 
 
-def _contract(expanded: ExpandedInstance, mate: list[int], edges: set[Edge]) -> dict[Edge, int]:
-    """Edge multiplicities of the matching ``mate`` of the copy graph ``expanded``;
-    every matched pair must join two agents adjacent by one of ``edges``."""
-    owner = expanded.owner
-    found: dict[Edge, int] = {}
+def _fold(z: list[int], mate: list[int], owner: list[int], edge_of: dict, nodes: list[str]) -> None:
+    """Add the matching ``mate`` of a copy graph whose copy c belongs to node
+    ``owner[c]`` to the multiplicities ``z`` by edge id; every matched pair must
+    join two nodes that ``edge_of`` maps to an edge id."""
     for v, w in enumerate(mate):
         if w == -1:
             continue
         if mate[w] != v:
             raise MatchingError(f"mate array is not symmetric at copies {v} and {w}")
         if v < w:
-            a, b = owner[v], owner[w]
-            edge = (a, b) if a < b else (b, a)
-            if edge not in edges:
-                raise MatchingError(f"copies {v} and {w} are matched across non-edge {edge!r}")
-            found[edge] = found.get(edge, 0) + 1
-    return found
+            edge = edge_of.get((owner[v], owner[w]))
+            if edge is None:
+                pair = tuple(sorted((nodes[owner[v]], nodes[owner[w]])))
+                raise MatchingError(f"copies {v} and {w} are matched across non-edge {pair!r}")
+            z[edge] += 1
 
 
-def _maximum(peaks: Mapping[str, int], edges: tuple[Edge, ...]):
+def _maximum(peaks: Mapping[str, int], edges: tuple[Edge, ...]) -> BMatching:
     """A maximum b-matching of ``edges`` under ``peaks`` (nonnegative; every
-    endpoint is a key), the reduced copy graph that proves it and that graph's
-    maximum matching.
+    endpoint is a key).
 
     Copies of one agent are twins, so a shortest augmenting (or even
     alternating) path of the full copy graph meets each agent at most once as
     an outer and at most once as an inner vertex: a repeat can be shortcut. Such
     a path uses at most two matched pairs per edge and two exposed copies per
-    agent, so it lies in the reduced graph of `_reduced_graph`. Blossom runs on
-    that graph, seeded with z, and every augmentation is folded back into z
-    until a round augments nothing; then z is maximum, and the last graph has
-    exactly the full graph's D set on every agent.
+    agent, so it lies in the reduced graph of `_reduced`. Blossom runs on that
+    graph, seeded with z, and every augmentation is folded back into z until a
+    round augments nothing; then z is maximum.
+
+    A round is skipped when the reduced graph would hold fewer than two exposed
+    copies, Σ min(spare, 2): an augmenting path joins two distinct exposed
+    copies, so that round could not augment, and z is the same. Spares are
+    nonnegative, so that sum is below 2 exactly when Σ spare is.
 
     z starts from the peaks' high bits: the maximum for floor(b / 2^k), doubled
     and topped up greedily along ``edges``, seeds level k - 1, so each level
     needs only O(n) augmentations.
+
+    Everything runs on one index built per call: node ids in ``peaks`` order,
+    edge ids in ``edges`` order, z and the spare counts as int lists, and each
+    round's graph built by `_copy_graph` from its copy counts. Only the
+    b-matching is returned; `ged_decompose` builds the one graph it reads.
     """
-    edge_set = set(edges)
-    z: dict[Edge, int] = {}
+    nodes = list(peaks)
+    ends, nbrs = _node_index(peaks, edges)
+    edge_of = {}
+    for edge, (u, v) in enumerate(ends):
+        edge_of[u, v] = edge_of[v, u] = edge
+    z = [0] * len(ends)
     for shift in reversed(range(max([1, *peaks.values()]).bit_length())):
-        level = {node: peak >> shift for node, peak in peaks.items()}
-        doubled = {edge: 2 * mult for edge, mult in z.items()}
-        spare = _spare(level, doubled)
-        z = {}
-        for edge in edges:
-            u, v = edge
+        level = [peak >> shift for peak in peaks.values()]
+        z = [2 * mult for mult in z]
+        spare = _spare(level, ends, z)
+        for edge, (u, v) in enumerate(ends):
             extra = min(spare[u], spare[v])
             spare[u] -= extra
             spare[v] -= extra
-            if mult := doubled.get(edge, 0) + extra:
-                z[edge] = mult
-        while True:
-            expanded, mate, kept = _reduced_graph(level, edges, z)
-            seeded = mate.count(-1)
-            mate = maximum_matching_indices(len(mate), expanded.adj, mate)
-            if mate.count(-1) == seeded:
+            z[edge] += extra
+        while sum(spare) >= 2:  # at least two exposed copies
+            counts, mate, kept = _reduced(spare, ends, z)
+            exposed = mate.count(-1)
+            owner, adj = _copy_graph(counts, nbrs)[1:]
+            mate = maximum_matching_indices(len(mate), adj, mate)
+            if mate.count(-1) == exposed:
                 break
-            found = _contract(expanded, mate, edge_set)
-            z = {
-                edge: mult
-                for edge in edges
-                if (mult := z.get(edge, 0) - kept.get(edge, 0) + found.get(edge, 0))
-            }
-    return BMatching(z), expanded, mate
+            z = [mult - pairs for mult, pairs in zip(z, kept)]
+            _fold(z, mate, owner, edge_of, nodes)
+            spare = _spare(level, ends, z)
+    return BMatching({edge: mult for edge, mult in zip(edges, z) if mult})
 
 
 def _check_uncapacitated(inst: Instance) -> None:
@@ -256,7 +260,7 @@ def _check_uncapacitated(inst: Instance) -> None:
 def max_bmatching(inst: Instance) -> BMatching:
     """Maximum-total-utility b-matching, by blossom on the reduced copy graph."""
     _check_uncapacitated(inst)
-    return _maximum(inst.peaks, inst.edges)[0]
+    return _maximum(inst.peaks, inst.edges)
 
 
 @dataclass(frozen=True)
@@ -291,11 +295,18 @@ def ged_decompose(inst: Instance) -> GedDecomposition:
 
     The standard D/A/C sets of the unit-peak copy graph collapse onto whole
     nodes (copies are interchangeable), mapping D -> V^U, A -> V^O, C -> V^P.
-    D is read off the reduced copy graph of a maximum b-matching (see
-    `_maximum`), which has the same D set on every agent.
+    D is read off the one copy graph this builds, through `expand_nodes`: the
+    reduced copy graph (see `_reduced`) of the maximum b-matching z that
+    `_maximum` returns, seeded with z's kept pairs. A shortest even alternating
+    path of the full copy graph shortcuts into it, so it has the full graph's
+    D set on every agent.
     """
     _check_uncapacitated(inst)
-    matching, expanded, mate = _maximum(inst.peaks, inst.edges)
+    matching = _maximum(inst.peaks, inst.edges)
+    ends = _node_index(inst.peaks, inst.edges)[0]
+    z = [matching.multiplicities.get(edge, 0) for edge in inst.edges]
+    counts, mate, _ = _reduced(_spare(list(inst.peaks.values()), ends, z), ends, z)
+    expanded = expand_nodes(dict(zip(inst.peaks, counts)), inst.edges)
     avoidable = gallai_edmonds_indices(len(mate), expanded.adj, mate)
     under = {expanded.owner[i] for i in avoidable}
     for node in under:
@@ -366,5 +377,5 @@ def _realize(targets: Mapping[str, int], edges: tuple[Edge, ...]) -> BMatching |
     total = sum(targets.values())
     if total % 2:
         return None
-    matched = _maximum(targets, edges)[0]
+    matched = _maximum(targets, edges)
     return matched if matched.total_utility == total else None

@@ -454,8 +454,9 @@ def build_lottery(
     from the arcs, components completed to their internal totals).
 
     Each member is read once, on its ints: an arc is integral when its int is a
-    multiple of the member's scale. The expectation is totalled in ints over
-    the weights' common denominator."""
+    multiple of the member's scale. Members often share a component's targets,
+    so each distinct (component, targets) is realized once per lottery. The
+    expectation is totalled in ints over the weights' common denominator."""
     if construction.kind != "indivisible":
         raise MechanismError("lotteries are defined for the indivisible construction")
     ged = construction.ged
@@ -493,6 +494,7 @@ def build_lottery(
     denominator = lcm(*(weight.denominator for _, weight in combination.entries))
     expected = dict.fromkeys(construction.supply_arcs, 0)  # times the denominator
     entries = []
+    realized: dict[tuple, BMatching | None] = {}
     for member, weight in combination.entries:
         ints, scale = member.values.ints, member.values.scale
         multiplicities = dict(perfect_part.multiplicities)
@@ -508,11 +510,14 @@ def build_lottery(
                 if fraction:
                     raise MechanismError("integral member has a fractional component arc")
                 targets[node] = amount
-            realized = _realize(targets, edges)
-            if realized is None:
+            key = (component, tuple(targets.values()))
+            if key not in realized:
+                realized[key] = _realize(targets, edges)
+            matched = realized[key]
+            if matched is None:
                 listed = {node: targets[node] for node in component}
                 raise MechanismError(f"component {component!r}: internal targets {listed!r} are unrealizable")
-            multiplicities.update(realized.multiplicities)
+            multiplicities.update(matched.multiplicities)
         matching = BMatching({edge: mult for edge, mult in multiplicities.items() if mult})
         matching.check_feasible(inst)
         utilities = matching.utilities(inst)

@@ -755,6 +755,90 @@ def reference_max_bmatching(inst: Instance) -> BMatching:
     return contract_matching(expanded, pairs)
 
 
+def _reference_spare(peaks, z):
+    spare = dict(peaks)
+    for (u, v), mult in z.items():
+        spare[u] -= mult
+        spare[v] -= mult
+    return spare
+
+
+def _reference_reduced_graph(peaks, edges, z):
+    """The reduced copy graph of ``z`` by agent name, through ``expand_nodes``:
+    the expansion, the mate array of the kept pairs and the kept multiplicities."""
+    kept = {edge: min(mult, 2) for edge, mult in z.items()}
+    counts = {node: min(spare, 2) for node, spare in _reference_spare(peaks, z).items()}
+    for (u, v), pairs in kept.items():
+        counts[u] += pairs
+        counts[v] += pairs
+    expanded = expand_nodes(counts, edges)
+    mate = [-1] * len(expanded.owner)
+    free = {node: span.start for node, span in expanded.indices.items()}
+    for (u, v), pairs in kept.items():
+        for _ in range(pairs):
+            cu, cv = free[u], free[v]
+            free[u] += 1
+            free[v] += 1
+            mate[cu] = cv
+            mate[cv] = cu
+    return expanded, mate, kept
+
+
+def reference_contract(expanded: ExpandedInstance, mate: list[int], edges: set) -> dict:
+    """Edge multiplicities of the matching ``mate`` of the copy graph ``expanded``."""
+    owner = expanded.owner
+    found: dict[tuple[str, str], int] = {}
+    for v, w in enumerate(mate):
+        if w == -1:
+            continue
+        if mate[w] != v:
+            raise MatchingError(f"mate array is not symmetric at copies {v} and {w}")
+        if v < w:
+            a, b = owner[v], owner[w]
+            edge = (a, b) if a < b else (b, a)
+            if edge not in edges:
+                raise MatchingError(f"copies {v} and {w} are matched across non-edge {edge!r}")
+            found[edge] = found.get(edge, 0) + 1
+    return found
+
+
+def reference_maximum(peaks, edges, rounds: list | None = None):
+    """The string-keyed b-matching rounds that ``fairmatch.matching._maximum``
+    replaces: a reduced graph built through ``expand_nodes`` in every round,
+    including the rounds that cannot augment. Returns the maximum b-matching,
+    the last round's expansion and its mate array; appends each round's
+    expansion to ``rounds`` when given."""
+    edge_set = set(edges)
+    z: dict[tuple[str, str], int] = {}
+    for shift in reversed(range(max([1, *peaks.values()]).bit_length())):
+        level = {node: peak >> shift for node, peak in peaks.items()}
+        doubled = {edge: 2 * mult for edge, mult in z.items()}
+        spare = _reference_spare(level, doubled)
+        z = {}
+        for edge in edges:
+            u, v = edge
+            extra = min(spare[u], spare[v])
+            spare[u] -= extra
+            spare[v] -= extra
+            if mult := doubled.get(edge, 0) + extra:
+                z[edge] = mult
+        while True:
+            expanded, mate, kept = _reference_reduced_graph(level, edges, z)
+            if rounds is not None:
+                rounds.append(expanded)
+            seeded = mate.count(-1)
+            mate = maximum_matching_indices(len(mate), expanded.adj, mate)
+            if mate.count(-1) == seeded:
+                break
+            found = reference_contract(expanded, mate, edge_set)
+            z = {
+                edge: mult
+                for edge in edges
+                if (mult := z.get(edge, 0) - kept.get(edge, 0) + found.get(edge, 0))
+            }
+    return BMatching(z), expanded, mate
+
+
 def reference_ged_decompose(inst: Instance) -> GedDecomposition:
     """The Gallai-Edmonds decomposition read off the full unit-peak copy graph;
     the reference for ``fairmatch.ged_decompose``."""

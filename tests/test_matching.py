@@ -1,7 +1,11 @@
 import random
+import re
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairmatch import (
     BMatching,
@@ -9,11 +13,15 @@ from fairmatch import (
     MatchingError,
     expand_nodes,
     ged_decompose,
+    indivisible_outcome,
     max_bmatching,
+    parse_instance,
     realize_targets,
 )
-from fairmatch.matching import _contract, gallai_edmonds_indices, maximum_matching_indices
+from fairmatch import matching, mechanism
+from fairmatch.matching import _fold, _maximum, gallai_edmonds_indices, maximum_matching_indices
 from fairmatch.oracle import enumerate_bmatchings, pareto_profiles
+from golden.record import FAMILY_MEMBERS, family_instance, star_instance
 
 from helpers import (
     brute_force_max_matching_size,
@@ -29,6 +37,7 @@ from helpers import (
     reference_gallai_edmonds,
     reference_ged_decompose,
     reference_max_bmatching,
+    reference_maximum,
     reference_maximum_matching,
     triangle,
 )
@@ -160,16 +169,91 @@ def test_decomposition_rejects_trees_that_meet():
 
 
 def test_fold_rejects_broken_mate_arrays():
-    # copies: a -> 0, b -> 1 and 2, c -> 3
-    inst = Instance.build("p", [("a", 1), ("b", 2), ("c", 1)], [("a", "b"), ("b", "c")])
-    expanded, edges = expand_nodes(inst.peaks, inst.edges), set(inst.edges)
-    assert _contract(expanded, [1, 0, 3, 2], edges) == {("a", "b"): 1, ("b", "c"): 1}
-    with pytest.raises(MatchingError, match="not symmetric"):
-        _contract(expanded, [1, -1, -1, -1], edges)
-    with pytest.raises(MatchingError, match="non-edge"):
-        _contract(expanded, [3, -1, -1, 0], edges)
-    with pytest.raises(MatchingError, match="non-edge"):
-        _contract(expanded, [-1, 2, 1, -1], edges)
+    # nodes a, b, c -> 0, 1, 2; edges a-b, b-c -> 0, 1; copies a -> 0, b -> 1 and 2, c -> 3
+    owner, nodes = [0, 1, 1, 2], ["a", "b", "c"]
+    edge_of = {(0, 1): 0, (1, 0): 0, (1, 2): 1, (2, 1): 1}
+    z = [0, 0]
+    _fold(z, [1, 0, 3, 2], owner, edge_of, nodes)
+    assert z == [1, 1]
+    with pytest.raises(MatchingError, match="^mate array is not symmetric at copies 0 and 1$"):
+        _fold([0, 0], [1, -1, -1, -1], owner, edge_of, nodes)
+    with pytest.raises(MatchingError, match=re.escape("copies 0 and 3 are matched across non-edge ('a', 'c')")):
+        _fold([0, 0], [3, -1, -1, 0], owner, edge_of, nodes)
+    with pytest.raises(MatchingError, match=re.escape("copies 1 and 2 are matched across non-edge ('b', 'b')")):
+        _fold([0, 0], [-1, 2, 1, -1], owner, edge_of, nodes)
+
+
+def _assert_rounds_match_reference(peaks, edges):
+    got = _maximum(peaks, edges)
+    want = reference_maximum(peaks, edges)[0]
+    assert list(got.multiplicities.items()) == list(want.multiplicities.items())
+
+
+def _benchmark_instances():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import families
+
+    for workload in ("mid-random", "big-peaks", "cli-small"):
+        for base in families.family(workload):
+            yield Instance.build(base.name, list(base.peaks.items()), list(base.edges))
+        for shown in families.presentations(workload, 1):
+            yield parse_instance(shown.text)
+
+
+def _gate_instances():
+    yield from _benchmark_instances()
+    yield from (family_instance(*member) for member in FAMILY_MEMBERS)
+    yield from (triangle((peak, peak, peak + 1)) for peak in (50, 10**6))
+    yield star_instance(1)
+
+
+def test_integer_rounds_match_the_string_rounds(monkeypatch):
+    # the same b-matching, in the same order, and the decomposition reads the
+    # reference's last round graph and mate array
+    read = []
+    original = matching.gallai_edmonds_indices
+    monkeypatch.setattr(
+        matching, "gallai_edmonds_indices", lambda n, adj, mate: read.append((adj, mate)) or original(n, adj, mate)
+    )
+    for inst in _gate_instances():
+        _assert_rounds_match_reference(inst.peaks, inst.edges)
+        _, expanded, mate = reference_maximum(inst.peaks, inst.edges)
+        ged_decompose(inst)
+        assert read.pop() == (expanded.adj, mate), inst.name
+
+
+def test_integer_rounds_match_the_string_rounds_on_realized_targets(monkeypatch):
+    # every component target the lottery realizes on mid-random's seed-1 presentations
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import families
+
+    realized = []
+    original = mechanism._realize
+    monkeypatch.setattr(
+        mechanism, "_realize", lambda targets, edges: realized.append((targets, edges)) or original(targets, edges)
+    )
+    for shown in families.presentations("mid-random", 1):
+        indivisible_outcome(parse_instance(shown.text))
+    assert len(realized) >= 20
+    for targets, edges in realized:
+        _assert_rounds_match_reference(targets, edges)
+
+
+@st.composite
+def _peaked_graphs(draw):
+    n = draw(st.integers(1, 8))
+    peaks = {f"v{i}": draw(st.integers(0, 9)) for i in range(n)}
+    pairs = list(combinations(sorted(peaks), 2))
+    edges = tuple(pair for pair in pairs if draw(st.booleans()))
+    return peaks, draw(st.permutations(edges))
+
+
+@given(_peaked_graphs())
+@settings(max_examples=300, deadline=None)
+def test_integer_rounds_match_the_string_rounds_with_zero_peaks(graph):
+    # zero peaks and isolated nodes give nodes without copies
+    peaks, edges = graph
+    _assert_rounds_match_reference(peaks, tuple(edges))
 
 
 def test_decomposition_rejects_copies_that_disagree(monkeypatch):
