@@ -184,15 +184,22 @@ def test_fold_rejects_broken_mate_arrays():
 
 
 def _assert_rounds_match_reference(peaks, edges):
-    got = _maximum(peaks, edges)
-    want = reference_maximum(peaks, edges)[0]
-    assert list(got.multiplicities.items()) == list(want.multiplicities.items())
+    want, expanded, mate = reference_maximum(peaks, edges)
+    assert list(_maximum(peaks, edges).multiplicities.items()) == list(want.multiplicities.items())
+    return expanded, mate
+
+
+def _families():
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import families
+
+    return families
 
 
 def _benchmark_instances():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import families
-
+    families = _families()
     for workload in ("mid-random", "big-peaks", "cli-small"):
         for base in families.family(workload):
             yield Instance.build(base.name, list(base.peaks.items()), list(base.edges))
@@ -216,23 +223,19 @@ def test_integer_rounds_match_the_string_rounds(monkeypatch):
         matching, "gallai_edmonds_indices", lambda n, adj, mate: read.append((adj, mate)) or original(n, adj, mate)
     )
     for inst in _gate_instances():
-        _assert_rounds_match_reference(inst.peaks, inst.edges)
-        _, expanded, mate = reference_maximum(inst.peaks, inst.edges)
+        expanded, mate = _assert_rounds_match_reference(inst.peaks, inst.edges)
         ged_decompose(inst)
         assert read.pop() == (expanded.adj, mate), inst.name
 
 
 def test_integer_rounds_match_the_string_rounds_on_realized_targets(monkeypatch):
     # every component target the lottery realizes on mid-random's seed-1 presentations
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import families
-
     realized = []
     original = mechanism._realize
     monkeypatch.setattr(
         mechanism, "_realize", lambda targets, edges: realized.append((targets, edges)) or original(targets, edges)
     )
-    for shown in families.presentations("mid-random", 1):
+    for shown in _families().presentations("mid-random", 1):
         indivisible_outcome(parse_instance(shown.text))
     assert len(realized) >= 20
     for targets, edges in realized:
