@@ -160,11 +160,12 @@ class Flow:
     """A feasible flow: exact arc values plus the value shipped source to sink.
     A flow returned by :func:`max_flow` keeps its ints as :class:`Scaled` and
     carries ``cut``, the source side of the minimal minimum cut certifying it,
-    and ``network``, the network object it was certified on."""
+    and ``network``, the network object it was certified on. Only
+    :func:`max_flow` sets them: neither is an init field."""
 
     values: Mapping[Arc, Fraction]
     value: Fraction
-    cut: frozenset[str] | None = field(default=None, compare=False, repr=False)
+    cut: frozenset[str] | None = field(default=None, init=False, compare=False, repr=False)
     network: FlowNetwork | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_json(self) -> list[dict]:
@@ -418,27 +419,48 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
             common = gcd(scale, total, *values)
             if common > 1:
                 values = [x // common for x in values]
-            flow = Flow(
-                values=Scaled(idx, scale // common, values),
-                value=Fraction(total, scale),
-                cut=frozenset(node for node, reached in zip(idx.nodes, depth) if reached is not None),
-            )
-            object.__setattr__(flow, "network", net)  # not an init field: no other caller vouches
+            flow = Flow(values=Scaled(idx, scale // common, values), value=Fraction(total, scale))
+            object.__setattr__(flow, "cut", _nodes(idx, depth))  # not init fields: no other caller vouches
+            object.__setattr__(flow, "network", net)
             return flow
         total += _blocking(idx, caps, values, depth)
 
 
-def _maximum(net: FlowNetwork, flow: Flow, backward: bool = False) -> tuple[int, list[int], list]:
-    """``flow``'s scale, values and residual search depths on ``net`` (from the sink
-    if ``backward``), if it is a maximum flow of ``net``: certified feasible first,
-    unless ``max_flow`` certified it on this very object (a copy may share the index)."""
+def _check_cut(idx: _Index, caps: list, total: int, side: list) -> None:
+    """Raise :class:`FlowError` unless the arcs leaving the source ``side``
+    (true at the ids of its nodes) have capacity ``total``, with
+    :func:`_certify`'s messages: the cut of a maximum flow."""
+    crossing = 0
+    for arc, cap, u, v in zip(idx.arcs, caps, idx.tails, idx.heads):
+        if side[u] and not side[v]:
+            if cap is None:
+                raise FlowError(f"flow is not maximum: unbounded arc {arc!r} leaves its cut")
+            crossing += cap
+    if crossing != total:
+        raise FlowError("flow is not maximum: its cut has more capacity than its value")
+
+
+def _maximum(net: FlowNetwork, flow: Flow, backward: bool = False) -> tuple[int, list[int], list[bool]]:
+    """``flow``'s scale and values on ``net`` and a minimum cut's source side
+    (true at its nodes' ids) if ``flow`` is maximum there: what the source reaches
+    in the residual network, or if ``backward`` what cannot reach the sink. The
+    flow is certified feasible first, unless ``max_flow`` certified it on this
+    very object (a copy may share the index); the side must pass :func:`_check_cut`."""
     scale, caps, values, total = _scaled(net, flow)
     if flow.network is not net:
         _certify(net, caps, values, total, scale)
+    idx = net.index
     depth = _search(net, caps, values, backward)
-    if depth[net.index.source if backward else net.index.sink] is not None:
+    if depth[idx.source if backward else idx.sink] is not None:
         raise FlowError("flow is not maximum: augmenting path exists")
-    return scale, values, depth
+    side = [(reached is None) == backward for reached in depth]
+    _check_cut(idx, caps, total, side)
+    return scale, values, side
+
+
+def _nodes(idx: _Index, side: list) -> frozenset[str]:
+    """The nodes at the true entries of ``side``."""
+    return frozenset(node for node, inside in zip(idx.nodes, side) if inside)
 
 
 def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
@@ -447,14 +469,13 @@ def min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
 
     Raises :class:`FlowError` when ``flow`` is not maximum.
     """
-    depth = _maximum(net, flow)[2]
-    return frozenset(node for node, reached in zip(net.index.nodes, depth) if reached is not None)
+    return _nodes(net.index, _maximum(net, flow)[2])
 
 
 def maximal_min_cut(net: FlowNetwork, flow: Flow) -> frozenset[str]:
-    """The maximal minimum cut (source side): nodes that cannot reach the sink."""
-    depth = _maximum(net, flow, backward=True)[2]
-    return frozenset(node for node, reached in zip(net.index.nodes, depth) if reached is None)
+    """The maximal minimum cut (source side): nodes that cannot reach the sink,
+    certified against ``flow`` like :func:`min_cut`."""
+    return _nodes(net.index, _maximum(net, flow, backward=True)[2])
 
 
 def is_maximum(net: FlowNetwork, flow: Flow) -> bool:

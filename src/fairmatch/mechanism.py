@@ -175,23 +175,14 @@ def _sup_full_shipping(
     """
     deficit, flow = _full_shipping_deficit(net, const_caps, linear_arcs, hi)
     current = hi
+    supply_const = sum(const_caps.values(), Fraction(0))
+    supply_coef = len(linear_arcs)
     while deficit > 0:
+        # max_flow certified that the arcs leaving its cut carry the flow's
+        # value, with every linear arc at ``current``: the rest is constant
         cut_side = flow.cut
-        supply_const = sum(const_caps.values(), Fraction(0))
-        supply_coef = len(linear_arcs)
-        cut_const = Fraction(0)
-        cut_coef = 0
-        for arc, cap in net.arcs.items():
-            tail, head = arc
-            if tail in cut_side and head not in cut_side:
-                if arc in linear_arcs:
-                    cut_coef += 1
-                elif arc in const_caps:
-                    cut_const += const_caps[arc]
-                else:
-                    if cap is None:
-                        raise MechanismError(f"unbounded arc {arc!r} crosses a minimum cut")
-                    cut_const += cap
+        cut_coef = sum(1 for tail, head in linear_arcs if tail in cut_side and head not in cut_side)
+        cut_const = flow.value - cut_coef * current
         coef = supply_coef - cut_coef
         if coef <= 0:
             raise MechanismError("bottleneck search lost its slope")
@@ -215,26 +206,6 @@ def _lowered_cap(caps: list[int], deficit: int, scale: int) -> Fraction:
         total += caps[count]
         count += 1
     return Fraction(total - deficit, count * scale)
-
-
-def _bottleneck_identity(capped: FlowNetwork, cut_side: frozenset[str]) -> None:
-    """Assert the breakpoint identity: the bottleneck group's joint supply equals
-    the capacity it is shipping into (its demand image plus crossing edge caps)."""
-    idx = capped.index
-    scale, caps = capped.scaled_caps
-    inside = [node in cut_side for node in idx.nodes]
-    supply_in = shipped_into = 0
-    for arc, cap, tail, head in zip(idx.arcs, caps, idx.tails, idx.heads):
-        if tail == idx.source:
-            if inside[head]:
-                supply_in += cap
-        elif inside[tail] and not inside[head]:
-            if cap is None:
-                raise MechanismError(f"unbounded arc {arc!r} crosses the bottleneck cut")
-            shipped_into += cap
-    if supply_in != shipped_into:
-        supply_in, shipped_into = Fraction(supply_in, scale), Fraction(shipped_into, scale)
-        raise MechanismError(f"bottleneck identity violated: supply {supply_in} != demand image {shipped_into}")
 
 
 @dataclass(frozen=True)
@@ -313,8 +284,12 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
                 frozen[agent] = Fraction(peaks[agent])
             break
         previous_break = lam
-        bottleneck_side = maximal_min_cut(flow.network, flow)
-        _bottleneck_identity(flow.network, bottleneck_side)
+        # The deficit is 0: the breakpoint identity (the group's supply fills the capacity
+        # it ships into) is the maximal cut carrying the flow's value, which maximal_min_cut checks.
+        try:
+            bottleneck_side = maximal_min_cut(flow.network, flow)
+        except FlowError as exc:
+            raise MechanismError(f"bottleneck identity violated: {exc}") from exc
         newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
         if not newly:
             raise MechanismError("breakpoint without a bottlenecked agent")

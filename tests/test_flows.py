@@ -52,6 +52,26 @@ def simple_net(arcs):
     return FlowNetwork("s", "t", arcs)
 
 
+@pytest.mark.parametrize("cut", [min_cut, maximal_min_cut])
+def test_cuts_are_certified_against_the_flow_value(monkeypatch, cut):
+    # s -> a -> t with a saturated first arc: both minimum cuts are {s}. A
+    # search that puts a on the source side returns a cut of capacity 2,
+    # which no flow of value 1 is maximum against
+    net = simple_net({("s", "a"): 1, ("a", "t"): 2})
+    flow = max_flow(net)
+    assert cut(net, flow) == {"s"}
+    search, a = flows._search, net.index.nodes.index("a")
+
+    def moved(*args, **kwargs):
+        depth = search(*args, **kwargs)
+        depth[a] = None if depth[a] else 2
+        return depth
+
+    monkeypatch.setattr(flows, "_search", moved)
+    with pytest.raises(FlowError, match="flow is not maximum: its cut has more capacity than its value"):
+        cut(net, flow)
+
+
 def test_zero_capacity_arc_gives_zero_flow():
     flow = max_flow(simple_net({("s", "t"): 0}))
     assert flow.value == 0
@@ -160,8 +180,11 @@ def test_every_form_of_a_flow_solves_and_cuts_alike():
         decompose_max_flow(tighter, flow)
     assert "outside [0, 0]" in str(caught.value.__cause__)
     assert is_maximum(first, flow) and min_cut(first, flow) == flow.cut
-    with pytest.raises(TypeError):  # only max_flow sets the network a flow was certified on
+    # only max_flow sets the network a flow was certified on, and its cut
+    with pytest.raises(TypeError):
         Flow(flow.values, flow.value, network=tighter)
+    with pytest.raises(TypeError):
+        Flow(flow.values, flow.value, cut=flow.cut)
     # a view on another arc list goes through the same checks as a dict
     short, long = simple_net({("s", "t"): 1}), simple_net({("s", "a"): 1, ("a", "t"): 1})
     for check in (min_cut, lambda net, flow: max_flow(net, start=flow)):

@@ -83,6 +83,24 @@ def test_parse_validation_errors(mutate, message):
         parse_instance(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "edges, capacities, message",
+    [
+        ((("a", "a"),), {}, "self-loop at node 'a'"),
+        ((("b", "a"),), {}, r"edge \('b', 'a'\) is not canonicalized"),
+        ((("a", "b"),), {("a", "c"): 1}, r"capacity given for unknown edge \('a', 'c'\)"),
+    ],
+)
+def test_instance_checks_edges_built_directly(edges, capacities, message):
+    with pytest.raises(InstanceError, match=message):
+        Instance(name="t", peaks={"a": 1, "b": 1, "c": 1}, edges=edges, capacities=capacities)
+
+
+def test_build_rejects_an_empty_node_id():
+    with pytest.raises(InstanceError, match="node id must be a non-empty string, got ''"):
+        Instance.build("t", [("a", 1), ("", 1)], [])
+
+
 @pytest.mark.parametrize("text", ["[]", "3", '"triangle"', "null"])
 def test_parse_rejects_a_non_object_file(text):
     with pytest.raises(InstanceError, match="instance file must be a JSON object"):

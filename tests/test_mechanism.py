@@ -26,12 +26,12 @@ from fairmatch import (
     probabilistic_marginals,
     sample_lottery,
 )
-from fairmatch.flows import ConvexCombination, Flow, FlowNetwork, Scaled, is_maximum
+from fairmatch import flows
+from fairmatch.flows import ConvexCombination, Flow, FlowError, FlowNetwork, Scaled, is_maximum
 from fairmatch.oracle import enumerate_bmatchings, lorenz_dominates, pareto_profiles
 
 from golden.record import FAMILY_MEMBERS, family_instance, seeded_instance
 from helpers import (
-    _reference_bottleneck_identity,
     _reference_lowered_cap,
     direct_bipartite_rule,
     expected_value,
@@ -360,14 +360,28 @@ def test_type2_breakpoints_satisfy_bottleneck_identity(seed):
 def _verdict(check, *args) -> str | None:
     try:
         check(*args)
-    except MechanismError as exc:
+    except FlowError as exc:
         return str(exc)
     return None
 
 
+def _reference_cut_verdict(capped: FlowNetwork, side: frozenset[str], value: F) -> str | None:
+    """The cut check on the network's ``Fraction`` caps: the arcs leaving
+    ``side`` must carry ``value``."""
+    crossing = F(0)
+    for arc, cap in capped.arcs.items():
+        if arc[0] in side and arc[1] not in side:
+            if cap is None:
+                return f"flow is not maximum: unbounded arc {arc!r} leaves its cut"
+            crossing += cap
+    return None if crossing == value else "flow is not maximum: its cut has more capacity than its value"
+
+
 def test_fill_helpers_on_ints_give_the_fraction_results():
-    # the lowered cap and the breakpoint identity, on caps times a scale,
-    # against their Fraction references: the same cap, the same verdicts
+    # the lowered cap and the cut check that carries the breakpoint identity,
+    # on caps times a scale, against their Fraction references: the same cap,
+    # the same verdicts. At a breakpoint the flow ships the whole supply, so
+    # the cut checked against it carries the group's supply exactly.
     rng = random.Random("int-fill")
     for _ in range(300):
         scale = rng.randint(1, 12)
@@ -380,11 +394,78 @@ def test_fill_helpers_on_ints_give_the_fraction_results():
     verdicts = set()
     for caps in ([4, 2, 4, None, 6, 0], [3, 1, 3, None, 7, 0], [5, 5, 1, None, 2, 0]):
         capped = net.with_scaled_caps(6, caps)
+        idx = capped.index
+        scale, ints = capped.scaled_caps
+        supply = sum(ints[a] for a, tail in enumerate(idx.tails) if tail == idx.source)
         for side in ({"s"}, {"s", "a"}, {"s", "b"}, {"s", "a", "b"}):
-            verdict = _verdict(mechanism._bottleneck_identity, capped, frozenset(side))
-            assert verdict == _verdict(_reference_bottleneck_identity, capped, frozenset(side))
-            verdicts.add(verdict if verdict is None else verdict.split(":")[0])
-    assert verdicts == {None, "bottleneck identity violated", "unbounded arc ('a', 'b') crosses the bottleneck cut"}
+            inside = [node in side for node in idx.nodes]
+            verdict = _verdict(flows._check_cut, idx, ints, supply, inside)
+            assert verdict == _reference_cut_verdict(capped, frozenset(side), F(supply, scale))
+            verdicts.add(verdict)
+    assert verdicts == {
+        None,
+        "flow is not maximum: its cut has more capacity than its value",
+        "flow is not maximum: unbounded arc ('a', 'b') leaves its cut",
+    }
+
+
+def test_fill_wraps_a_failed_cut_check_as_the_bottleneck_identity(hub15, monkeypatch):
+    def refuted(net, flow):
+        raise FlowError("flow is not maximum: its cut has more capacity than its value")
+
+    monkeypatch.setattr(mechanism, "maximal_min_cut", refuted)
+    with pytest.raises(MechanismError, match="bottleneck identity violated: flow is not maximum") as caught:
+        egalitarian_profile(build_indivisible(hub15))
+    assert isinstance(caught.value.__cause__, FlowError)
+
+
+def test_fill_refuses_a_breakpoint_without_a_bottlenecked_agent(hub15, monkeypatch):
+    monkeypatch.setattr(mechanism, "maximal_min_cut", lambda net, flow: frozenset({net.source}))
+    with pytest.raises(MechanismError, match="breakpoint without a bottlenecked agent"):
+        egalitarian_profile(build_indivisible(hub15))
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+def test_fill_refuses_a_profile_its_last_flow_does_not_ship(hub15, monkeypatch, build):
+    # every probe solved with one agent's supply arc shut: the fill still
+    # freezes that agent at a positive level, which no probe shipped
+    built = build(hub15)
+    shut, solve = built.supply_arcs["s1"], mechanism.max_flow
+    monkeypatch.setattr(mechanism, "max_flow", lambda net, start=None: solve(net.with_caps({shut: 0}), start=start))
+    with pytest.raises(MechanismError, match="frozen egalitarian profile is not fully shippable"):
+        egalitarian_profile(built)
+
+
+def _solved_after_the_fill(monkeypatch, solve) -> None:
+    """Make :func:`egalitarian_divisible` solve its pinned network with ``solve``
+    once the fill is done."""
+    fill = mechanism.egalitarian_profile
+
+    def filled(construction):
+        profile = fill(construction)
+        monkeypatch.setattr(mechanism, "max_flow", solve)
+        return profile
+
+    monkeypatch.setattr(mechanism, "egalitarian_profile", filled)
+
+
+def test_divisible_rule_refuses_a_pinned_flow_of_another_value(hub15, monkeypatch):
+    solve = mechanism.max_flow
+    _solved_after_the_fill(monkeypatch, lambda net, start: dataclasses.replace(solve(net, start), value=start.value - 1))
+    with pytest.raises(MechanismError, match="profile is not realizable by a divisible maximum flow"):
+        egalitarian_divisible(hub15)
+
+
+def test_divisible_rule_refuses_an_exchange_that_misses_the_profile(monkeypatch):
+    # x - c - y with unit peaks: the profile is x = y = 1/2, c = 1. A flow that
+    # ships c's unit to x alone has the profile's value and supplies, but x's
+    # edge then carries 3/4 where its half-unit profile needs 1/2
+    inst = Instance.build("path", [("x", 1), ("c", 1), ("y", 1)], [("x", "c"), ("c", "y")])
+    solve = mechanism.max_flow
+    lopsided = {("b/x", mechanism.SINK): 1, ("a/c", "b/y"): 0}
+    _solved_after_the_fill(monkeypatch, lambda net, start: solve(net.with_caps(lopsided)))
+    with pytest.raises(MechanismError, match="symmetrized exchange misses the profile at 'x'"):
+        egalitarian_divisible(inst)
 
 
 def test_probabilistic_marginals_cases():
@@ -562,6 +643,15 @@ def test_lottery_refuses_an_expectation_that_misses_the_profile(hub15):
     moved["s15"] -= 1
     with pytest.raises(MechanismError, match="lottery expectation misses the profile at 's1'"):
         build_lottery(hub15, built, UtilityProfile(moved, flow=profile.flow))
+
+
+def test_lottery_refuses_probabilities_off_a_distribution(hub15):
+    lottery = indivisible_outcome(hub15).lottery
+    (matching, p), *rest = lottery.entries
+    with pytest.raises(MechanismError, match="lottery probabilities must be positive"):
+        dataclasses.replace(lottery, entries=((matching, F(0)), *lottery.entries))
+    with pytest.raises(MechanismError, match="lottery probabilities must sum to 1"):
+        dataclasses.replace(lottery, entries=((matching, p / 2), *rest))
 
 
 @pytest.mark.parametrize("seed", range(30))
