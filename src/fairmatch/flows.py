@@ -159,14 +159,20 @@ class Scaled(Mapping):
 class Flow:
     """A feasible flow: exact arc values plus the value shipped source to sink.
     A flow returned by :func:`max_flow` keeps its ints as :class:`Scaled` and
-    carries ``cut``, the source side of the minimal minimum cut certifying it,
-    and ``network``, the network object it was certified on. Only
-    :func:`max_flow` sets them: neither is an init field."""
+    carries ``side``, the source side of the minimal minimum cut certifying it
+    (true at the ids of its nodes on the network's index), and ``network``, the
+    network object it was certified on. Only :func:`max_flow` sets them:
+    neither is an init field. ``cut`` names that side when it is read."""
 
     values: Mapping[Arc, Fraction]
     value: Fraction
-    cut: frozenset[str] | None = field(default=None, init=False, compare=False, repr=False)
+    side: list | None = field(default=None, init=False, compare=False, repr=False)
     network: FlowNetwork | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def cut(self) -> frozenset[str] | None:
+        """The nodes of ``side``, built on each read; None off :func:`max_flow`."""
+        return None if self.side is None else _nodes(self.network.index, self.side)
 
     def to_json(self) -> list[dict]:
         return [
@@ -403,8 +409,9 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
     It runs on the network's index, on ints: caps and ``start`` times a common
     denominator, which keeps the same paths. The search that misses the sink
     reaches the minimal minimum cut; the flow is certified against it
-    (:func:`_certify`) and returned with it and with ``net``, as the
-    :class:`Scaled` list it was solved on, over the least common denominator.
+    (:func:`_certify`) and returned as the :class:`Scaled` list it was solved
+    on, over the least common denominator, with that search's depths as
+    ``side`` and with ``net``.
     """
     idx = net.index
     scale, caps, values, total = _scaled(net, start, as_start=True)
@@ -420,7 +427,7 @@ def max_flow(net: FlowNetwork, start: Flow | None = None) -> Flow:
             if common > 1:
                 values = [x // common for x in values]
             flow = Flow(values=Scaled(idx, scale // common, values), value=Fraction(total, scale))
-            object.__setattr__(flow, "cut", _nodes(idx, depth))  # not init fields: no other caller vouches
+            object.__setattr__(flow, "side", depth)  # not init fields: no other caller vouches
             object.__setattr__(flow, "network", net)
             return flow
         total += _blocking(idx, caps, values, depth)

@@ -235,6 +235,9 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
 
     A probe runs on ints: the previous probe's caps with the active supply arcs
     rewritten, on the probe's least scale. Its only ``Fraction`` is a lowered ``lam``.
+    Agents are kept by slot, their supply arc's id, in name order: a short probe
+    reads its cut side as the id mask ``max_flow`` returned (``Flow.side``), and
+    names are built only for the breakpoints and the profile.
 
     The profile carries the breakpoints (type-2 bottleneck freezes in order, then
     the terminal type-1 peaks event when some agents never bottleneck) and the
@@ -242,17 +245,17 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
     pinned to its value.
     """
     net = construction.network
-    supply_arcs = construction.supply_arcs
-    peaks = construction.peaks
-    slots = {agent: net.index.arc_ids[arc] for agent, arc in supply_arcs.items()}
-    frozen: dict[str, Fraction] = {}
+    idx = net.index
+    names = {idx.arc_ids[arc]: agent for agent, arc in sorted(construction.supply_arcs.items())}  # by slot
+    peaks = {slot: construction.peaks[agent] for slot, agent in names.items()}
+    frozen: dict[int, Fraction] = {}
     trace: list[Breakpoint] = []
-    active = sorted(supply_arcs)
+    active = list(names)
     previous_break = Fraction(0)
     flow = None
     scale, caps = net.scaled_caps
     while active:
-        lam = top = Fraction(max(peaks[agent] for agent in active))
+        lam = top = Fraction(max(peaks[slot] for slot in active))
         # At or below the previous breakpoint every active agent sits at its
         # peak, and the last probe shipped exactly these caps already.
         while top > previous_break:
@@ -260,28 +263,26 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             probe = lcm(scale, lam.denominator)
             caps = [None if c is None else c * (probe // scale) for c in caps] if probe != scale else caps[:]
             level = lam.numerator * (probe // lam.denominator)
-            for agent in active:
-                caps[slots[agent]] = min(level, peaks[agent] * probe)
+            for slot in active:
+                caps[slot] = min(level, peaks[slot] * probe)
             flow = max_flow(net.with_scaled_caps(probe, caps), start=flow)
             scale, caps = flow.network.scaled_caps
             # the flow's value is its cut's capacity, a sum of caps on this scale
             shipped = flow.value.numerator * (scale // flow.value.denominator)
-            deficit = sum(caps[slot] for slot in slots.values()) - shipped
+            deficit = sum(caps[slot] for slot in peaks) - shipped
             if not deficit:
                 break
             # On the minimum cut max_flow certified, the deficit is the cut side's excess.
-            cut_side = flow.cut
-            cut_caps = [caps[slots[a]] for a in active if supply_arcs[a][1] in cut_side]
-            lowered = _lowered_cap(cut_caps, deficit, scale)
+            side = flow.side
+            lowered = _lowered_cap([caps[slot] for slot in active if side[idx.heads[slot]]], deficit, scale)
             if not previous_break <= lowered < lam:
                 raise MechanismError("bottleneck search left its segment")
             lam = lowered
         if lam == top:
-            trace.append(
-                Breakpoint(lam=top, kind="type-1", bottleneck=frozenset(active), image=frozenset())
-            )
-            for agent in active:
-                frozen[agent] = Fraction(peaks[agent])
+            group = frozenset(names[slot] for slot in active)
+            trace.append(Breakpoint(lam=top, kind="type-1", bottleneck=group, image=frozenset()))
+            for slot in active:
+                frozen[slot] = Fraction(peaks[slot])
             break
         previous_break = lam
         # The deficit is 0: the breakpoint identity (the group's supply fills the capacity
@@ -290,26 +291,28 @@ def egalitarian_profile(construction: BipartiteConstruction) -> UtilityProfile:
             bottleneck_side = maximal_min_cut(flow.network, flow)
         except FlowError as exc:
             raise MechanismError(f"bottleneck identity violated: {exc}") from exc
-        newly = [agent for agent in active if supply_arcs[agent][1] in bottleneck_side]
+        newly = [slot for slot in active if idx.nodes[idx.heads[slot]] in bottleneck_side]
         if not newly:
             raise MechanismError("breakpoint without a bottlenecked agent")
-        fresh_nodes = {supply_arcs[agent][1] for agent in newly}
+        fresh = {idx.heads[slot] for slot in newly}
         image = frozenset(
-            head for (tail, head), x in zip(net.index.arcs, flow.values.ints) if tail in fresh_nodes and x > 0
+            idx.nodes[head] for tail, head, x in zip(idx.tails, idx.heads, flow.values.ints) if tail in fresh and x > 0
         )
-        trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=frozenset(newly), image=image))
-        for agent in newly:  # min(lam, peak)
-            frozen[agent] = lam if lam.numerator <= peaks[agent] * lam.denominator else Fraction(peaks[agent])
-        active = [agent for agent in active if agent not in newly]
+        group = frozenset(names[slot] for slot in newly)
+        trace.append(Breakpoint(lam=lam, kind="type-2", bottleneck=group, image=image))
+        for slot in newly:  # min(lam, peak)
+            frozen[slot] = lam if lam.numerator <= peaks[slot] * lam.denominator else Fraction(peaks[slot])
+        active = [slot for slot in active if slot not in frozen]
 
     if flow is None:  # no agents, so no probe: the zero flow ships the empty profile
-        flow = Flow(values=Scaled(net.index, 1, [0] * len(caps)), value=Fraction(0))
+        flow = Flow(values=Scaled(idx, 1, [0] * len(caps)), value=Fraction(0))
     # ``flow`` is the last probe's, and its network has the frozen caps.
-    if flow.value.numerator * scale != sum(caps[slot] for slot in slots.values()) * flow.value.denominator or any(
-        frozen[agent].numerator * scale != caps[slot] * frozen[agent].denominator for agent, slot in slots.items()
+    if flow.value.numerator * scale != sum(caps[slot] for slot in peaks) * flow.value.denominator or any(
+        frozen[slot].numerator * scale != caps[slot] * frozen[slot].denominator for slot in peaks
     ):
         raise MechanismError("frozen egalitarian profile is not fully shippable")
-    return UtilityProfile(frozen, flow=flow, breakpoints=tuple(trace))
+    profile = {names[slot]: x for slot, x in frozen.items()}
+    return UtilityProfile(profile, flow=flow, breakpoints=tuple(trace))
 
 
 def egalitarian_lp(construction: BipartiteConstruction) -> UtilityProfile:

@@ -582,6 +582,39 @@ def reference_egalitarian_profile(construction: BipartiteConstruction) -> Utilit
     return UtilityProfile(frozen, flow=flow, breakpoints=tuple(trace))
 
 
+def lexicographically_optimal_base(construction: BipartiteConstruction) -> dict[str, Fraction]:
+    """The egalitarian profile by brute force, independent of the fill, of Newton
+    and of ``egalitarian_lp``: the lexicographically optimal base of the
+    construction's throughput polymatroid (Fujishige, MOR 1980). Its rank f(S)
+    is the maximum flow with only S's supply arcs open, solved once for each of
+    the 2^n subsets S of the agents. From F empty, the union of the minimizers
+    of (f(F | S) - f(F)) / |S| over the nonempty S outside F gets that value and
+    joins F, until F holds every agent. Subsets are bit masks over the agents
+    in name order."""
+    agents = sorted(construction.supply_arcs)
+    arcs = [construction.supply_arcs[agent] for agent in agents]
+    rank = [
+        max_flow(construction.network.with_caps({arc: 0 for k, arc in enumerate(arcs) if not subset >> k & 1})).value
+        for subset in range(1 << len(agents))
+    ]
+    base: dict[str, Fraction] = {}
+    done, everyone = 0, (1 << len(agents)) - 1
+    while done != everyone:
+        rest = everyone & ~done
+        least, union = None, 0
+        subset = rest
+        while subset:  # every nonempty subset of rest
+            ratio = (rank[done | subset] - rank[done]) / bin(subset).count("1")
+            if least is None or ratio < least:
+                least, union = ratio, subset
+            elif ratio == least:
+                union |= subset
+            subset = (subset - 1) & rest
+        base.update((agent, least) for k, agent in enumerate(agents) if union >> k & 1)
+        done |= union
+    return base
+
+
 def reference_blossom_search(n: int, adj: list[list[int]], mate: list[int], root: int):
     """Single-root blossom search that walks all n vertices per contraction; the
     reference for ``fairmatch.matching._blossom_search``.

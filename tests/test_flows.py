@@ -180,11 +180,15 @@ def test_every_form_of_a_flow_solves_and_cuts_alike():
         decompose_max_flow(tighter, flow)
     assert "outside [0, 0]" in str(caught.value.__cause__)
     assert is_maximum(first, flow) and min_cut(first, flow) == flow.cut
-    # only max_flow sets the network a flow was certified on, and its cut
-    with pytest.raises(TypeError):
-        Flow(flow.values, flow.value, network=tighter)
-    with pytest.raises(TypeError):
-        Flow(flow.values, flow.value, cut=flow.cut)
+    # only max_flow sets the network a flow was certified on, and its cut's id
+    # mask; the cut's names are read off the mask, and none of the three takes
+    # part in equality, repr or to_json
+    for keyword in ({"network": tighter}, {"cut": flow.cut}, {"side": flow.side}):
+        with pytest.raises(TypeError):
+            Flow(flow.values, flow.value, **keyword)
+    plain = Flow(flow.values, flow.value)
+    assert plain.side is plain.network is plain.cut is None and flow.side is not None
+    assert plain == flow and repr(plain) == repr(flow) and plain.to_json() == flow.to_json()
     # a view on another arc list goes through the same checks as a dict
     short, long = simple_net({("s", "t"): 1}), simple_net({("s", "a"): 1, ("a", "t"): 1})
     for check in (min_cut, lambda net, flow: max_flow(net, start=flow)):

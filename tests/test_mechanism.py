@@ -37,7 +37,9 @@ from helpers import (
     expected_value,
     diamond_instance,
     instance_automorphisms,
+    lexicographically_optimal_base,
     path_instance,
+    peaked_instances_up_to_iso,
     random_bipartite_instance,
     random_connected_instance,
     relabeled,
@@ -316,6 +318,30 @@ def test_methods_agree_many_peak_levels(seed):
         random_connected_instance(rng, max_nodes=10, max_peak=6, min_nodes=6)
     )
     assert egalitarian_profile(indivisible).values == egalitarian_lp(indivisible).values
+
+
+@pytest.mark.parametrize("build", [build_indivisible, build_divisible])
+@pytest.mark.parametrize("max_nodes, max_peak, classes", [(5, 2, 419), (6, 1, 143)])
+def test_fill_is_the_lexicographically_optimal_base(build, max_nodes, max_peak, classes):
+    # on every small class, the fill's profile equals the brute-force
+    # lexicographically optimal base of the same construction, exactly; that
+    # base Lorenz-dominates every throughput vector, so every profile mixture.
+    # Mutation: eps moved from the richest agent to the poorest keeps the
+    # total and every value nonnegative, and the base rejects it
+    instances = peaked_instances_up_to_iso(max_nodes, max_peak)
+    assert len(instances) == classes
+    for number, inst in enumerate(instances):
+        construction = build(inst)
+        base = lexicographically_optimal_base(construction)
+        values = dict(egalitarian_profile(construction).values)
+        assert values == base, number
+        if len(values) > 1:
+            by_value = sorted(values, key=values.get)
+            poorest, richest = by_value[0], by_value[-1]
+            eps = min(values[richest], Fraction(1, 7))
+            values[poorest] += eps
+            values[richest] -= eps
+            assert values != base and sum(values.values()) == sum(base.values()), number
 
 
 @pytest.mark.parametrize("member", FAMILY_MEMBERS, ids=[f"{family}-{seed}" for family, seed in FAMILY_MEMBERS])

@@ -205,6 +205,54 @@ def test_manipulation_builds_no_lottery(hub15, calls):
 
 
 @pytest.fixture
+def name_sets(monkeypatch):
+    # cut sides turned into sets of node names: flows._nodes calls
+    counts = {"sets": 0}
+    original = flows._nodes
+
+    def counted(*args):
+        counts["sets"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(flows, "_nodes", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda inst: egalitarian_profile(build_indivisible(inst)),
+        lambda inst: egalitarian_profile(build_divisible(inst)),
+        lambda inst: indivisible_outcome(inst).profile,
+        lambda inst: egalitarian_divisible(inst)[0],
+    ],
+    ids=["indivisible fill", "divisible fill", "indivisible_outcome", "egalitarian_divisible"],
+)
+def test_fill_names_one_cut_per_bottleneck(hub15, name_sets, rule):
+    # the fill reads each probe's cut as max_flow's id mask, and only each
+    # type-2 breakpoint's maximal_min_cut builds names. Naming every solve's
+    # cut built 8, 8, 10 and 9 sets on hub15, and 30, 30, 47 and 31 on
+    # seeded_instance(7, 160, 3)
+    for inst in (hub15, seeded_instance(7, 160, 3)):
+        name_sets["sets"] = 0
+        profile = rule(inst)
+        bottlenecks = sum(point.kind == "type-2" for point in profile.breakpoints)
+        assert bottlenecks == (2 if inst is hub15 else 6)
+        assert name_sets["sets"] == bottlenecks, inst.name
+
+
+def test_box_solves_name_no_cut(hub15, name_sets):
+    # a box solve's flow keeps its cut as an id mask that nothing reads
+    for inst in (hub15, seeded_instance(7, 160, 3)):
+        construction = build_indivisible(inst)
+        flow = egalitarian_profile(construction).flow
+        name_sets["sets"] = 0
+        combination = flows.decompose_max_flow(construction.network, flow)
+        assert len(combination.entries) > 1
+        assert name_sets["sets"] == 0, inst.name
+
+
+@pytest.fixture
 def network_builds(monkeypatch):
     # networks validated by the constructor, and indexes built from names
     counts = {"networks": 0, "indexes": 0}
